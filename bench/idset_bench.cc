@@ -146,7 +146,7 @@ void BenchStoreUnion(const char* name, uint32_t fanout) {
 }
 
 /// Per-join-value merge via the word-parallel AssignUnionOfSets kernel —
-/// the PropagateIds inner loop after the bitmap-index change: span dedup,
+/// the PropagateIds inner loop on bitmap-heavy inputs: span dedup,
 /// then OR of bitmap spans / scatter of sparse spans, no gather and no
 /// sort. Compare against store_union_f (gather + AssignUnion) and
 /// idset_union_f (the old vector-of-vectors merge).
@@ -164,8 +164,7 @@ void BenchStoreUnionKernel(const char* name, uint32_t fanout) {
     for (uint32_t base = 0; base + 8 <= kSets; base += 8) {
       for (uint32_t j = 0; j < 8; ++j) group[j] = base + j;
       total += out.AssignUnionOfSets(base / 8, sets, group.data(), 8, nullptr,
-                                     nullptr, /*use_bitmap_kernel=*/true,
-                                     &scratch);
+                                     nullptr, &scratch);
     }
     DoNotOptimize(total);
   });

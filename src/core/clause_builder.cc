@@ -191,7 +191,7 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
   Stopwatch prop_watch;
   auto fresh = std::make_shared<PropagationResult>(
       PropagateIds(*db_, edge, src, &alive_, opts_->propagation_limits,
-                   scratch, opts_->use_bitmap_index));
+                   scratch));
   if (prop_time_ != nullptr) {
     prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
   }
@@ -356,8 +356,7 @@ void ClauseBuilder::Append(const BestChoice& choice) {
   const Relation& rel =
       db_->relation(clause_.nodes()[static_cast<size_t>(cnode)].relation);
   ApplyConstraint(rel, added.constraint, alive_,
-                  &node_idsets_[static_cast<size_t>(cnode)], &satisfied_,
-                  opts_->use_bitmap_index);
+                  &node_idsets_[static_cast<size_t>(cnode)], &satisfied_);
   for (size_t id = 0; id < alive_.size(); ++id) {
     alive_[id] = alive_[id] && satisfied_[id];
   }

@@ -29,57 +29,43 @@ bool AggSatisfies(const Constraint& c, double value) {
 
 void ApplyConstraint(const Relation& rel, const Constraint& c,
                      const std::vector<uint8_t>& alive, IdSetStore* idsets,
-                     std::vector<uint8_t>* satisfied,
-                     bool use_bitmap_kernel) {
+                     std::vector<uint8_t>* satisfied) {
   CM_CHECK(idsets->num_sets() == rel.num_tuples());
   std::fill(satisfied->begin(), satisfied->end(), 0);
 
   if (c.agg == AggOp::kNone) {
-    if (use_bitmap_kernel) {
-      // Word-parallel union of the satisfying tuples' idsets, then one
-      // masked decode. Aliased spans (destinations that shared a join
-      // value during propagation) are ORed once, not per alias.
-      size_t words = bitmap_ops::WordsForBits(satisfied->size());
-      std::vector<uint64_t> acc(words, 0);
-      constexpr uint64_t kNoSpan = ~uint64_t{0};
-      uint64_t last_span = kNoSpan;
-      for (TupleId t = 0; t < rel.num_tuples(); ++t) {
-        if (idsets->empty(t)) continue;
-        if (!TupleSatisfies(rel, t, c)) {
-          idsets->Clear(t);
-          continue;
-        }
-        uint64_t span = idsets->span_key(t);
-        if (span == last_span) continue;
-        last_span = span;
-        if (idsets->IsBitmap(t)) {
-          bitmap_ops::Or(acc.data(), idsets->bitmap_words(t),
-                         idsets->words_per_set());
-        } else {
-          const TupleId* ids = idsets->sparse_ids(t);
-          uint32_t n = idsets->Cardinality(t);
-          for (uint32_t i = 0; i < n; ++i) {
-            bitmap_ops::SetBit(acc.data(), ids[i]);
-          }
-        }
-      }
-      std::vector<uint64_t> alive_words(words);
-      bitmap_ops::PackBytes(alive.data(), alive.size(), alive_words.data());
-      bitmap_ops::And(acc.data(), alive_words.data(), words);
-      bitmap_ops::ForEachBit(acc.data(), words,
-                             [&](TupleId id) { (*satisfied)[id] = 1; });
-      return;
-    }
+    // Word-parallel union of the satisfying tuples' idsets, then one
+    // masked decode. Aliased spans (destinations that shared a join
+    // value during propagation) are ORed once, not per alias.
+    size_t words = bitmap_ops::WordsForBits(satisfied->size());
+    std::vector<uint64_t> acc(words, 0);
+    constexpr uint64_t kNoSpan = ~uint64_t{0};
+    uint64_t last_span = kNoSpan;
     for (TupleId t = 0; t < rel.num_tuples(); ++t) {
       if (idsets->empty(t)) continue;
-      if (TupleSatisfies(rel, t, c)) {
-        idsets->ForEach(t, [&](TupleId id) {
-          if (alive[id]) (*satisfied)[id] = 1;
-        });
-      } else {
+      if (!TupleSatisfies(rel, t, c)) {
         idsets->Clear(t);
+        continue;
+      }
+      uint64_t span = idsets->span_key(t);
+      if (span == last_span) continue;
+      last_span = span;
+      if (idsets->IsBitmap(t)) {
+        bitmap_ops::Or(acc.data(), idsets->bitmap_words(t),
+                       idsets->words_per_set());
+      } else {
+        const TupleId* ids = idsets->sparse_ids(t);
+        uint32_t n = idsets->Cardinality(t);
+        for (uint32_t i = 0; i < n; ++i) {
+          bitmap_ops::SetBit(acc.data(), ids[i]);
+        }
       }
     }
+    std::vector<uint64_t> alive_words(words);
+    bitmap_ops::PackBytes(alive.data(), alive.size(), alive_words.data());
+    bitmap_ops::And(acc.data(), alive_words.data(), words);
+    bitmap_ops::ForEachBit(acc.data(), words,
+                           [&](TupleId id) { (*satisfied)[id] = 1; });
     return;
   }
 

@@ -30,15 +30,13 @@ bool TupleSatisfies(const Relation& rel, TupleId t, const Constraint& c);
 /// (which must be pre-sized to the number of target tuples and is
 /// overwritten with 0/1 flags).
 ///
-/// With `use_bitmap_kernel`, the satisfying-target union is built
-/// word-parallel — bitmap idsets OR into a dense accumulator (aliased
-/// spans once), sparse idsets scatter bits — then one AND against the
-/// packed alive mask decodes into `satisfied`. Identical flags and idset
-/// clears either way.
+/// The satisfying-target union is built word-parallel — bitmap idsets OR
+/// into a dense accumulator (aliased spans once), sparse idsets scatter
+/// bits — then one AND against the packed alive mask decodes into
+/// `satisfied`.
 void ApplyConstraint(const Relation& rel, const Constraint& c,
                      const std::vector<uint8_t>& alive, IdSetStore* idsets,
-                     std::vector<uint8_t>* satisfied,
-                     bool use_bitmap_kernel = true);
+                     std::vector<uint8_t>* satisfied);
 
 }  // namespace crossmine
 

@@ -112,10 +112,9 @@ uint32_t IdSetStore::AssignUnionOfSets(uint32_t s, const IdSetStore& src,
                                        const TupleId* src_sets, uint32_t n,
                                        const std::vector<uint8_t>* alive,
                                        const uint64_t* alive_words,
-                                       bool use_bitmap_kernel,
                                        UnionScratch* scratch) {
   CM_CHECK(this != &src && src.universe_ == universe_);
-  // O(1)-per-set prepass to pick the engine: summed cardinality (aliases
+  // O(1)-per-set prepass to pick the merge: summed cardinality (aliases
   // counted per set — an upper bound is all the selection needs) and
   // whether any contributor is bitmap-kind.
   uint64_t total = 0;
@@ -130,7 +129,7 @@ uint32_t IdSetStore::AssignUnionOfSets(uint32_t s, const IdSetStore& src,
     return 0;
   }
 
-  if (use_bitmap_kernel && (any_bitmap || total >= bitmap_threshold_)) {
+  if (any_bitmap || total >= bitmap_threshold_) {
     // Word-parallel path. Dedup the contributing spans first — aliased
     // sets share a span key, so each merged span ORs in once no matter how
     // many source tuples alias it; the span sort is cheap next to the word
@@ -185,19 +184,14 @@ uint32_t IdSetStore::AssignUnionOfSets(uint32_t s, const IdSetStore& src,
     return count;
   }
 
-  // Sparse path: the classic gather — every contributor's alive ids into
-  // one buffer (duplicates from aliased sets and all), normalized by
-  // AssignUnion. A lone contributor arrives sorted and skips the sort.
+  // Sparse path (every contributor is sparse-kind): the classic gather —
+  // every contributor's alive ids into one buffer (duplicates from aliased
+  // sets and all), normalized by AssignUnion. A lone contributor arrives
+  // sorted and skips the sort.
   scratch->merge.clear();
   for (uint32_t i = 0; i < n; ++i) {
     const Entry& e = src.entries_[src_sets[i]];
     if (e.count == 0) continue;
-    if (e.kind == Entry::kBitmap) {
-      // Only reachable with the kernel disabled (any_bitmap routes to the
-      // word-parallel path otherwise): decode id-by-id like AppendSet.
-      src.AppendSet(src_sets[i], alive, &scratch->merge);
-      continue;
-    }
     const TupleId* ids = src.pool_.data() + e.offset;
     for (uint32_t j = 0; j < e.count; ++j) {
       if (alive == nullptr || (*alive)[ids[j]]) {

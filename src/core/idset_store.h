@@ -84,20 +84,19 @@ class IdSetStore {
   void AssignUnion(uint32_t s, std::vector<TupleId>* buf);
   /// Sets `idset(s)` to `∪ { src.idset(t) : t ∈ src_sets } ∩ alive` — the
   /// per-join-value merge of PropagateIds, fused with the alive filter.
-  /// With `use_bitmap_kernel` set, inputs that are bitmap-heavy (any
-  /// bitmap-kind contributor, or summed cardinality past the bitmap
-  /// threshold) are merged word-parallel: contributing spans are
-  /// deduplicated (aliased sets contribute once), bitmap spans OR in and
-  /// sparse spans scatter, then one AND with `alive_words` and one
-  /// popcount — no gather, no sort. Otherwise ids are gathered (filtering
-  /// on the `alive` byte mask) and sorted as before.
+  /// Inputs that are bitmap-heavy (any bitmap-kind contributor, or summed
+  /// cardinality past the bitmap threshold) are merged word-parallel:
+  /// contributing spans are deduplicated (aliased sets contribute once),
+  /// bitmap spans OR in and sparse spans scatter, then one AND with
+  /// `alive_words` and one popcount — no gather, no sort. Smaller all-sparse
+  /// inputs are gathered (filtering on the `alive` byte mask) and sorted.
   /// `alive` and `alive_words` are the same mask in both encodings (both
   /// null for no filtering). Returns the new cardinality.
   uint32_t AssignUnionOfSets(uint32_t s, const IdSetStore& src,
                              const TupleId* src_sets, uint32_t n,
                              const std::vector<uint8_t>* alive,
                              const uint64_t* alive_words,
-                             bool use_bitmap_kernel, UnionScratch* scratch);
+                             UnionScratch* scratch);
   /// Makes `idset(s)` share `idset(source)`'s storage. Clearing one alias
   /// later does not affect the others; compaction preserves the sharing.
   void Alias(uint32_t s, uint32_t source) {

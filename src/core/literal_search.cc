@@ -93,11 +93,8 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
   CM_CHECK(alive_ != nullptr);
   const Relation& rel = db_->relation(rel_id);
   CM_CHECK(idsets.num_sets() == rel.num_tuples());
-  bitmap_on_ = opts.use_bitmap_index;
+  CM_CHECK(static_cast<size_t>(idsets.universe()) == alive_->size());
   identity_ = identity_idsets;
-  if (bitmap_on_) {
-    CM_CHECK(static_cast<size_t>(idsets.universe()) == alive_->size());
-  }
 
   Stopwatch watch;
   offered_ = 0;
@@ -119,7 +116,7 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
     }
   }
   if (opts.use_aggregation_literals) {
-    SearchAggregations(rel, idsets, opts, &best);
+    SearchAggregations(rel, idsets, &best);
   }
   if (literals_scored_ != nullptr) literals_scored_->Add(offered_);
   if (index_hits_ != nullptr && hits_ != 0) index_hits_->Add(hits_);
@@ -130,44 +127,6 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
 void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
                                         const IdSetStore& idsets,
                                         CandidateLiteral* best) {
-  if (bitmap_on_) {
-    SearchCategoricalIndexed(rel, attr, idsets, best);
-    return;
-  }
-  std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(attr);
-  const AttrIndex& index = *handle;
-  // `index.values` ascends — the same deterministic tie-breaking order the
-  // legacy path got by sorting the hash index's keys.
-  const std::vector<uint8_t>& alive = *alive_;
-  const std::vector<uint8_t>& positive = *positive_;
-  for (size_t v = 0; v < index.num_values(); ++v) {
-    uint32_t epoch = NewEpoch();
-    uint32_t pos_cov = 0, neg_cov = 0;
-    const TupleId* tuples = index.posting(v);
-    uint32_t n = index.posting_count(v);
-    for (uint32_t i = 0; i < n; ++i) {
-      idsets.ForEach(tuples[i], [&](TupleId id) {
-        if (!alive[id] || mark_[id] == epoch) return;
-        mark_[id] = epoch;
-        if (positive[id]) {
-          ++pos_cov;
-        } else {
-          ++neg_cov;
-        }
-      });
-    }
-    Constraint c;
-    c.attr = attr;
-    c.cmp = CmpOp::kEq;
-    c.category = index.values[v];
-    Offer(best, c, pos_cov, neg_cov);
-  }
-}
-
-void LiteralSearcher::SearchCategoricalIndexed(const Relation& rel,
-                                               AttrId attr,
-                                               const IdSetStore& idsets,
-                                               CandidateLiteral* best) {
   std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(attr);
   const AttrIndex& index = *handle;
   const std::vector<uint8_t>& alive = *alive_;
@@ -175,8 +134,8 @@ void LiteralSearcher::SearchCategoricalIndexed(const Relation& rel,
   size_t words = alive_pos_words_.size();
   const uint64_t* pos_words = alive_pos_words_.data();
   const uint64_t* neg_words = alive_neg_words_.data();
-  // `index.values` ascends — the same order as the legacy path's sorted
-  // hash-index keys, so ties break identically.
+  // `index.values` ascends, so candidates are offered — and gain ties
+  // broken — in category-value order.
   for (size_t v = 0; v < index.num_values(); ++v) {
     const TupleId* tuples = index.posting(v);
     uint32_t n = index.posting_count(v);
@@ -206,11 +165,11 @@ void LiteralSearcher::SearchCategoricalIndexed(const Relation& rel,
     } else {
       // One pass over the posting collects the tuples with non-empty
       // idsets (under sampling most are empty) together with the summed
-      // cardinality and representation mix; the chosen engine then touches
+      // cardinality and representation mix; the chosen branch then touches
       // only those. The word-parallel union pays off once any contributing
       // idset is bitmap-kind (decoding it id-by-id is the expensive part)
       // or the summed cardinality reaches the accumulator's own footprint;
-      // sparser postings keep the scalar epoch walk.
+      // sparser postings take the epoch-stamped walk.
       nonempty_.clear();
       uint64_t total = 0;
       bool any_bitmap = false;
@@ -267,6 +226,35 @@ void LiteralSearcher::SearchCategoricalIndexed(const Relation& rel,
   }
 }
 
+template <typename Value, typename Step>
+void LiteralSearcher::SweepThresholds(size_t n, AttrId attr, AggOp agg,
+                                      Value value, Step step,
+                                      CandidateLiteral* best) {
+  Constraint c;
+  c.attr = attr;
+  c.agg = agg;
+  uint32_t pos_cov = 0, neg_cov = 0;
+  // Ascending: [value <= v], offered at distinct-value boundaries only.
+  std::fill(union_words_.begin(), union_words_.end(), 0);
+  c.cmp = CmpOp::kLe;
+  for (size_t i = 0; i < n; ++i) {
+    step(i, &pos_cov, &neg_cov);
+    if (i + 1 < n && value(i + 1) == value(i)) continue;
+    c.threshold = value(i);
+    Offer(best, c, pos_cov, neg_cov);
+  }
+  // Descending: [value >= v].
+  std::fill(union_words_.begin(), union_words_.end(), 0);
+  pos_cov = neg_cov = 0;
+  c.cmp = CmpOp::kGe;
+  for (size_t i = n; i-- > 0;) {
+    step(i, &pos_cov, &neg_cov);
+    if (i > 0 && value(i - 1) == value(i)) continue;
+    c.threshold = value(i);
+    Offer(best, c, pos_cov, neg_cov);
+  }
+}
+
 void LiteralSearcher::SearchNumerical(const Relation& rel, AttrId attr,
                                       const IdSetStore& idsets,
                                       CandidateLiteral* best) {
@@ -276,203 +264,71 @@ void LiteralSearcher::SearchNumerical(const Relation& rel, AttrId attr,
   const Column<double>& col = rel.DoubleColumn(attr);
   const std::vector<uint8_t>& alive = *alive_;
   const std::vector<uint8_t>& positive = *positive_;
+  auto value = [&](size_t i) { return col[order[i]]; };
+  ++hits_;
 
-  if (bitmap_on_ && identity_) {
+  if (identity_) {
     // Node-0 store: each sweep step covers exactly its own tuple, so the
     // cumulative counts are direct class checks — no marking, no bitmaps.
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      TupleId t = order[i];
-      if (alive[t]) {
-        if (positive[t]) {
-          ++pos_cov;
-        } else {
-          ++neg_cov;
-        }
-      }
-      if (i + 1 < order.size() && col[order[i + 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kLe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-    pos_cov = neg_cov = 0;
-    for (size_t i = order.size(); i-- > 0;) {
-      TupleId t = order[i];
-      if (alive[t]) {
-        if (positive[t]) {
-          ++pos_cov;
-        } else {
-          ++neg_cov;
-        }
-      }
-      if (i > 0 && col[order[i - 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kGe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-    ++hits_;
+    SweepThresholds(
+        order.size(), attr, AggOp::kNone, value,
+        [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
+          TupleId t = order[i];
+          if (alive[t]) ++*(positive[t] ? pos_cov : neg_cov);
+        },
+        best);
     return;
   }
 
-  if (bitmap_on_) {
-    // Incremental sweep on the counting kernel: the covered-target bitmap
-    // accumulates across steps and `OrCountNew` classifies each newly set
-    // bit by the disjoint class masks — dead ids land in neither. Aliased
-    // spans OR in zero fresh bits, so no dedup is needed for correctness.
-    size_t words = alive_pos_words_.size();
-    const uint64_t* pos_words = alive_pos_words_.data();
-    const uint64_t* neg_words = alive_neg_words_.data();
-    uint64_t* acc = union_words_.data();
-    auto sweep_step = [&](TupleId t, uint32_t* pos_cov, uint32_t* neg_cov) {
-      if (idsets.empty(t)) return;
-      if (idsets.IsBitmap(t)) {
-        bitmap_ops::OrCountNew(acc, idsets.bitmap_words(t), pos_words,
-                               neg_words, words, pos_cov, neg_cov);
-        return;
-      }
-      const TupleId* ids = idsets.sparse_ids(t);
-      uint32_t m = idsets.Cardinality(t);
-      for (uint32_t j = 0; j < m; ++j) {
-        TupleId id = ids[j];
-        if (bitmap_ops::TestBit(acc, id)) continue;
-        bitmap_ops::SetBit(acc, id);
-        if (bitmap_ops::TestBit(pos_words, id)) {
-          ++*pos_cov;
-        } else if (bitmap_ops::TestBit(neg_words, id)) {
-          ++*neg_cov;
+  // Incremental sweep on the counting kernel: the covered-target bitmap
+  // accumulates across steps and `OrCountNew` classifies each newly set
+  // bit by the disjoint class masks — dead ids land in neither. Aliased
+  // spans OR in zero fresh bits, so no dedup is needed for correctness.
+  size_t words = alive_pos_words_.size();
+  const uint64_t* pos_words = alive_pos_words_.data();
+  const uint64_t* neg_words = alive_neg_words_.data();
+  uint64_t* acc = union_words_.data();
+  SweepThresholds(
+      order.size(), attr, AggOp::kNone, value,
+      [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
+        TupleId t = order[i];
+        if (idsets.empty(t)) return;
+        if (idsets.IsBitmap(t)) {
+          bitmap_ops::OrCountNew(acc, idsets.bitmap_words(t), pos_words,
+                                 neg_words, words, pos_cov, neg_cov);
+          return;
         }
-      }
-    };
-    std::fill(union_words_.begin(), union_words_.end(), 0);
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      TupleId t = order[i];
-      sweep_step(t, &pos_cov, &neg_cov);
-      if (i + 1 < order.size() && col[order[i + 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kLe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-    std::fill(union_words_.begin(), union_words_.end(), 0);
-    pos_cov = neg_cov = 0;
-    for (size_t i = order.size(); i-- > 0;) {
-      TupleId t = order[i];
-      sweep_step(t, &pos_cov, &neg_cov);
-      if (i > 0 && col[order[i - 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kGe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-    ++hits_;
-    return;
-  }
-
-  // Ascending sweep: literals of the form [attr <= v] for each distinct v.
-  {
-    uint32_t epoch = NewEpoch();
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      TupleId t = order[i];
-      idsets.ForEach(t, [&](TupleId id) {
-        if (!alive[id] || mark_[id] == epoch) return;
-        mark_[id] = epoch;
-        if (positive[id]) {
-          ++pos_cov;
-        } else {
-          ++neg_cov;
+        const TupleId* ids = idsets.sparse_ids(t);
+        uint32_t m = idsets.Cardinality(t);
+        for (uint32_t j = 0; j < m; ++j) {
+          TupleId id = ids[j];
+          if (bitmap_ops::TestBit(acc, id)) continue;
+          bitmap_ops::SetBit(acc, id);
+          if (bitmap_ops::TestBit(pos_words, id)) {
+            ++*pos_cov;
+          } else if (bitmap_ops::TestBit(neg_words, id)) {
+            ++*neg_cov;
+          }
         }
-      });
-      // Offer at distinct-value boundaries only.
-      if (i + 1 < order.size() && col[order[i + 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kLe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-  }
-  // Descending sweep: literals of the form [attr >= v].
-  {
-    uint32_t epoch = NewEpoch();
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = order.size(); i-- > 0;) {
-      TupleId t = order[i];
-      idsets.ForEach(t, [&](TupleId id) {
-        if (!alive[id] || mark_[id] == epoch) return;
-        mark_[id] = epoch;
-        if (positive[id]) {
-          ++pos_cov;
-        } else {
-          ++neg_cov;
-        }
-      });
-      if (i > 0 && col[order[i - 1]] == col[t]) continue;
-      Constraint c;
-      c.attr = attr;
-      c.cmp = CmpOp::kGe;
-      c.threshold = col[t];
-      Offer(best, c, pos_cov, neg_cov);
-    }
-  }
+      },
+      best);
 }
 
 void LiteralSearcher::SweepSortedTargets(
     const std::vector<std::pair<double, TupleId>>& entries, AggOp agg,
     AttrId attr, CandidateLiteral* best) {
   const std::vector<uint8_t>& positive = *positive_;
-  // Ascending: agg(attr) <= v.
-  {
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (positive[entries[i].second]) {
-        ++pos_cov;
-      } else {
-        ++neg_cov;
-      }
-      if (i + 1 < entries.size() && entries[i + 1].first == entries[i].first) {
-        continue;
-      }
-      Constraint c;
-      c.attr = attr;
-      c.agg = agg;
-      c.cmp = CmpOp::kLe;
-      c.threshold = entries[i].first;
-      Offer(best, c, pos_cov, neg_cov);
-    }
-  }
-  // Descending: agg(attr) >= v.
-  {
-    uint32_t pos_cov = 0, neg_cov = 0;
-    for (size_t i = entries.size(); i-- > 0;) {
-      if (positive[entries[i].second]) {
-        ++pos_cov;
-      } else {
-        ++neg_cov;
-      }
-      if (i > 0 && entries[i - 1].first == entries[i].first) continue;
-      Constraint c;
-      c.attr = attr;
-      c.agg = agg;
-      c.cmp = CmpOp::kGe;
-      c.threshold = entries[i].first;
-      Offer(best, c, pos_cov, neg_cov);
-    }
-  }
+  SweepThresholds(
+      entries.size(), attr, agg, [&](size_t i) { return entries[i].first; },
+      [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
+        ++*(positive[entries[i].second] ? pos_cov : neg_cov);
+      },
+      best);
 }
 
 void LiteralSearcher::SearchAggregations(const Relation& rel,
                                          const IdSetStore& idsets,
-                                         const CrossMineOptions& opts,
                                          CandidateLiteral* best) {
-  (void)opts;
   const std::vector<uint8_t>& alive = *alive_;
 
   // Per-target join count (shared by count(*) and as the divisor for avg).

@@ -32,21 +32,20 @@ struct CandidateLiteral {
 ///    same two-direction sweep over the aggregated values.
 ///
 /// Counting is *distinct-target* counting (the §4.3 pitfall): a target tuple
-/// joinable with many satisfying tuples is counted once. Two interchangeable
-/// engines produce the counts:
+/// joinable with many satisfying tuples is counted once. Counts come from the
+/// relation's cached `AttrIndex` posting lists and the `bitmap_ops` kernel,
+/// with a per-value choice by cardinality:
 ///
-///  * the scalar engine: epoch-stamped marker arrays, no per-candidate
-///    allocation (always used when `opts.use_bitmap_index` is off);
-///  * the bitmap engine: the relation's cached `AttrIndex` posting lists and
-///    the `bitmap_ops` AND+popcount kernel — a candidate's covered-target
-///    set is built as a dense bitmap union and its pos/neg counts are
-///    `popcount(union ∧ alive_pos)` / `popcount(union ∧ alive_neg)`.
-///    Values with sparse postings (no bitmap-kind idset and summed
-///    cardinality below break-even) keep the scalar engine per value.
+///  * dense values (any bitmap-kind idset, or summed cardinality at or above
+///    the accumulator's footprint) build the covered-target set as a bitmap
+///    union; pos/neg counts are `popcount(union ∧ alive_pos)` /
+///    `popcount(union ∧ alive_neg)`;
+///  * sparse values walk their few non-empty idsets with epoch-stamped
+///    marker arrays, no per-candidate allocation.
 ///
-/// Both engines count the same distinct targets and offer candidates in the
-/// same order, so the chosen literal — and the trained model — is
-/// byte-identical either way.
+/// Both branches count the same distinct targets, so the choice never
+/// changes the chosen literal. The golden models and the brute-force oracles
+/// in `literal_search_test.cc` / `property_test.cc` referee the counts.
 ///
 /// The searcher owns scratch buffers sized to the number of target tuples;
 /// reuse one instance across calls.
@@ -65,15 +64,15 @@ class LiteralSearcher {
   /// then accumulates scan wall time into `train.phase.literal_search_seconds`,
   /// one `train.literals_scored` tick per candidate offered to the gain
   /// comparison, and one `train.index.hits` tick per counting served by
-  /// the bitmap engine (per categorical value, per numerical attribute
-  /// sweep pair). Counting never alters which literal wins.
+  /// the word-parallel kernel (per categorical value, per numerical
+  /// attribute sweep pair). Counting never alters which literal wins.
   void set_metrics(MetricsRegistry* metrics);
 
   /// Best constraint on `rel` given `idsets` (parallel to rel's tuples).
   /// `identity_idsets` asserts the caller-known invariant
-  /// `idset(t) = {t} iff alive[t]` (the clause's node-0 store): the bitmap
-  /// engine then counts straight off the AttrIndex postings without
-  /// touching the store. Purely an optimization hint — counts are the same
+  /// `idset(t) = {t} iff alive[t]` (the clause's node-0 store): counting
+  /// then reads straight off the AttrIndex postings without touching the
+  /// store. Purely an optimization hint — counts are the same
   /// with it off.
   CandidateLiteral FindBest(RelId rel, const IdSetStore& idsets,
                             const CrossMineOptions& opts,
@@ -82,19 +81,25 @@ class LiteralSearcher {
  private:
   void SearchCategorical(const Relation& rel, AttrId attr,
                          const IdSetStore& idsets, CandidateLiteral* best);
-  void SearchCategoricalIndexed(const Relation& rel, AttrId attr,
-                                const IdSetStore& idsets,
-                                CandidateLiteral* best);
   void SearchNumerical(const Relation& rel, AttrId attr,
                        const IdSetStore& idsets, CandidateLiteral* best);
   void SearchAggregations(const Relation& rel, const IdSetStore& idsets,
-                          const CrossMineOptions& opts,
                           CandidateLiteral* best);
 
   /// Sweeps entries (sorted ascending by value) in both directions, offering
   /// `<=`/`>=` candidates at distinct-value boundaries.
   void SweepSortedTargets(const std::vector<std::pair<double, TupleId>>& entries,
                           AggOp agg, AttrId attr, CandidateLiteral* best);
+
+  /// The two-direction threshold sweep shared by numerical and aggregation
+  /// literals, over `n` positions sorted ascending by `value(i)`:
+  /// `step(i, &pos, &neg)` adds position i's newly covered targets, and a
+  /// `<= value(i)` (ascending) or `>= value(i)` (descending) candidate is
+  /// offered at each distinct-value boundary. Each direction starts from
+  /// empty coverage and a cleared union accumulator.
+  template <typename Value, typename Step>
+  void SweepThresholds(size_t n, AttrId attr, AggOp agg, Value value,
+                       Step step, CandidateLiteral* best);
 
   void Offer(CandidateLiteral* best, const Constraint& c, uint32_t pos_cov,
              uint32_t neg_cov) const;
@@ -111,14 +116,13 @@ class LiteralSearcher {
   std::vector<uint32_t> agg_count_;
   std::vector<double> agg_sum_;
 
-  /// Bitmap-engine state, rebuilt by `SetContext`: the alive targets of each
-  /// class as kernel operands, plus the union accumulator. `bitmap_on_` /
-  /// `identity_` are per-`FindBest` mode flags.
+  /// Kernel state, rebuilt by `SetContext`: the alive targets of each class
+  /// as kernel operands, plus the union accumulator. `identity_` is the
+  /// per-`FindBest` node-0 hint.
   std::vector<uint64_t> alive_pos_words_;
   std::vector<uint64_t> alive_neg_words_;
   std::vector<uint64_t> union_words_;
   std::vector<TupleId> nonempty_;
-  bool bitmap_on_ = false;
   bool identity_ = false;
 
   /// Cached metric handles (null when detached). `offered_` / `hits_` batch

@@ -44,14 +44,6 @@ struct CrossMineOptions {
   /// Enables the look-one-ahead second propagation hop (§5.2, Fig. 7).
   bool look_one_ahead = true;
 
-  /// Bitmap-index acceleration: per-attribute-value inverted indexes plus
-  /// the word-parallel AND+popcount counting kernel for literal scoring,
-  /// clause application, and propagation merges. Off runs the scalar
-  /// epoch-marker paths; both settings train the byte-identical model
-  /// (tie-breaking order is untouched — the same candidates are offered in
-  /// the same order with the same counts).
-  bool use_bitmap_index = true;
-
   /// Negative tuple sampling (§6). Off by default: the paper evaluates
   /// CrossMine with and without it.
   bool use_sampling = false;

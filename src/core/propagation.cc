@@ -11,8 +11,7 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
                                const IdSetStore& src_idsets,
                                const std::vector<uint8_t>* alive,
                                const PropagationLimits& limits,
-                               PropagationScratch* scratch,
-                               bool use_bitmap_kernel) {
+                               PropagationScratch* scratch) {
   const Relation& src = db.relation(edge.from_rel);
   const Relation& dst = db.relation(edge.to_rel);
   CM_CHECK(src_idsets.num_sets() == src.num_tuples());
@@ -42,7 +41,7 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
 
   // Pack the alive mask once; every word-parallel merge ANDs against it.
   const uint64_t* alive_words = nullptr;
-  if (alive != nullptr && use_bitmap_kernel) {
+  if (alive != nullptr) {
     sc.alive_words.resize(bitmap_ops::WordsForBits(alive->size()));
     bitmap_ops::PackBytes(alive->data(), alive->size(),
                           sc.alive_words.data());
@@ -76,7 +75,7 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
     uint64_t size = result.idsets.AssignUnionOfSets(
         first, src_idsets, sc.bucket.data(),
         static_cast<uint32_t>(sc.bucket.size()), alive, alive_words,
-        use_bitmap_kernel, &sc.union_scratch);
+        &sc.union_scratch);
     if (size == 0) continue;
     for (uint32_t di = 0; di < dst_count; ++di) {
       TupleId u = dst_tuples[di];

@@ -63,18 +63,16 @@ struct PropagationScratch {
 ///
 /// `scratch` (optional) reuses grouping and merge buffers across calls.
 ///
-/// `use_bitmap_kernel` lets per-value merges whose summed input cardinality
-/// passes the store's bitmap threshold run word-parallel (OR + alive-mask
-/// AND + popcount, see `IdSetStore::AssignUnionOfSets`) instead of
-/// gather-and-sort; the resulting sets are identical either way.
+/// Per-value merges whose summed input cardinality passes the store's bitmap
+/// threshold run word-parallel (OR + alive-mask AND + popcount); smaller
+/// ones gather and sort (see `IdSetStore::AssignUnionOfSets`).
 ///
 /// NULL join values never match (SQL semantics).
 PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
                                const IdSetStore& src_idsets,
                                const std::vector<uint8_t>* alive,
                                const PropagationLimits& limits = {},
-                               PropagationScratch* scratch = nullptr,
-                               bool use_bitmap_kernel = true);
+                               PropagationScratch* scratch = nullptr);
 
 /// Refreshes a previously successful propagation after the alive mask
 /// shrank: one in-place `FilterAndCompact` pass over the result's arena

@@ -71,7 +71,6 @@ Status ShardedClassifier::Train(const Database& db,
 
   trained_fingerprint_ = 0;
   merged_ = CrossMineClassifier(base_);
-  voters_.clear();
   stats_ = {};
   stats_.num_shards = num_shards;
   num_classes_ = db.num_classes();
@@ -126,12 +125,10 @@ Status ShardedClassifier::Train(const Database& db,
   CrossMineOptions shard_opts = base_;
   shard_opts.num_shards = 1;
   shard_opts.num_threads = inner;
-  if (shard_options_.merge == MergeMode::kRescore) {
-    // The merge re-scores every kept clause on the parent database, which
-    // *is* the §5.3 re-estimation pass — running it per shard too would
-    // only burn time and (at one shard) double-apply it.
-    shard_opts.reestimate_accuracy_on_training_set = false;
-  }
+  // The merge re-scores every kept clause on the parent database, which
+  // *is* the §5.3 re-estimation pass — running it per shard too would only
+  // burn time and (at one shard) double-apply it.
+  shard_opts.reestimate_accuracy_on_training_set = false;
 
   // Trained per-shard models in `active` order (quorum-dropped shards
   // simply absent). Both exec modes feed the same deterministic merge.
@@ -212,18 +209,6 @@ Status ShardedClassifier::Train(const Database& db,
   }
 
   // --- Merge ---------------------------------------------------------------
-  if (shard_options_.merge == MergeMode::kVote) {
-    voters_ = std::move(trained);
-    for (const CrossMineClassifier& voter : voters_) {
-      stats_.clauses_kept += voter.clauses().size();
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("train.shard.clauses_kept")->Add(stats_.clauses_kept);
-    }
-    trained_fingerprint_ = SchemaFingerprint(db);
-    return Status::OK();
-  }
-
   ScopedMetricTimer merge_timer(metrics_, "train.shard.merge_seconds");
 
   // Scoring population: the full training set by default; a deterministic
@@ -256,7 +241,7 @@ Status ShardedClassifier::Train(const Database& db,
   // clause cap unreached) and it covers at least one uncovered positive.
   // With one shard this replays the shard's own build decisions exactly —
   // every clause re-covers precisely the positives its builder removed —
-  // so kRescore at K=1 is byte-identical to unsharded training.
+  // so the merge at K=1 is byte-identical to unsharded training.
   std::vector<Clause> merged_clauses;
   for (ClassId cls = 0; cls < num_classes_; ++cls) {
     std::vector<uint8_t> uncovered(num_targets, 0);
@@ -324,25 +309,6 @@ Status ShardedClassifier::Train(const Database& db,
 
 std::vector<ClassId> ShardedClassifier::Predict(
     const Database& db, const std::vector<TupleId>& ids) const {
-  if (shard_options_.merge == MergeMode::kVote && !voters_.empty()) {
-    // Majority vote across shard models; ties break toward the lower class
-    // id (std::max_element keeps the first maximum).
-    size_t classes = static_cast<size_t>(std::max(1, num_classes_));
-    std::vector<uint32_t> votes(ids.size() * classes, 0);
-    for (const CrossMineClassifier& voter : voters_) {
-      std::vector<ClassId> pred = voter.Predict(db, ids);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        ++votes[i * classes + static_cast<size_t>(pred[i])];
-      }
-    }
-    std::vector<ClassId> out(ids.size(), default_class_);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const uint32_t* row = &votes[i * classes];
-      out[i] = static_cast<ClassId>(
-          std::max_element(row, row + classes) - row);
-    }
-    return out;
-  }
   // Forward the registry attached to *this* so `predict.*` metrics land
   // where the caller (CLI / CrossValidate) is looking. Swapping the
   // delegate's pointer is why Predict must not race set_metrics — see the

@@ -14,23 +14,6 @@
 
 namespace crossmine::shard {
 
-/// How per-shard clause sets combine into the final model.
-enum class MergeMode {
-  /// Union the per-shard clause sets in a fixed order (class ascending,
-  /// then shard index, then built order), re-score each clause against the
-  /// full training set on the parent database, and run a sequential-covering
-  /// replay that keeps a clause iff it still covers an uncovered positive.
-  /// Produces one ordinary CrossMine model (saveable via SaveModel) that is
-  /// independent of worker scheduling; with one shard it reproduces the
-  /// unsharded model byte-identically.
-  kRescore,
-  /// Keep one CrossMine model per shard and majority-vote at prediction
-  /// time (ties break toward the lower class id, the ensemble convention).
-  /// Not collapsible to a single clause list, so it cannot be saved as one
-  /// `.cmm` — an evaluate-time alternative for skew-heavy splits.
-  kVote,
-};
-
 /// Where the per-shard Find-Clauses loops run.
 enum class ShardExecMode {
   /// Threads of this process (the original path): cheapest, but a crash or
@@ -48,7 +31,6 @@ enum class ShardExecMode {
 struct ShardOptions {
   /// Shard count; 0 inherits `CrossMineOptions::num_shards`.
   int num_shards = 0;
-  MergeMode merge = MergeMode::kRescore;
   PartitionMode partition = PartitionMode::kShared;
   /// Training tuples the merge re-scores each candidate clause against.
   /// 0 (default) scores on the full training set — required for the
@@ -68,7 +50,13 @@ struct ShardOptions {
 /// shards (hash on PK value), runs the existing Find-Clauses loop per shard
 /// concurrently on the ThreadPool — each worker sees only its shard's
 /// positives/negatives, so §6 negative sampling bounds its working set —
-/// then merges the per-shard clause sets deterministically (see MergeMode).
+/// then merges the per-shard clause sets deterministically: the union of
+/// the per-shard clause sets in a fixed order (class ascending, then shard
+/// index, then built order) is re-scored against the full training set on
+/// the parent database, and a sequential-covering replay keeps a clause iff
+/// it still covers an uncovered positive. The result is one ordinary
+/// CrossMine model (saveable via SaveModel); with one shard it reproduces
+/// the unsharded model byte-identically.
 ///
 /// Determinism: the final model depends only on the database, `train_ids`
 /// and the options — never on thread scheduling. Shards train independently
@@ -91,10 +79,9 @@ class ShardedClassifier : public RelationalClassifier {
   Status Train(const Database& db,
                const std::vector<TupleId>& train_ids) override;
 
-  /// kRescore: delegates to the merged model, forwarding the attached
-  /// metrics registry. kVote: majority vote across the shard models.
-  /// Unlike the base classifier, concurrent Predict calls must not race
-  /// `set_metrics` (the registry is forwarded per call) — single-caller
+  /// Delegates to the merged model, forwarding the attached metrics
+  /// registry. Unlike the base classifier, concurrent Predict calls must not
+  /// race `set_metrics` (the registry is forwarded per call) — single-caller
   /// contexts (CLI, CrossValidate) only; serving hosts plain CrossMine
   /// models.
   std::vector<ClassId> Predict(const Database& db,
@@ -105,13 +92,9 @@ class ShardedClassifier : public RelationalClassifier {
   const CrossMineOptions& base_options() const { return base_; }
   const ShardOptions& shard_options() const { return shard_options_; }
 
-  /// The merged model (kRescore mode) — an ordinary CrossMine model,
-  /// serializable with SaveModel and byte-comparable to unsharded training.
+  /// The merged model — an ordinary CrossMine model, serializable with
+  /// SaveModel and byte-comparable to unsharded training.
   const CrossMineClassifier& merged_model() const { return merged_; }
-
-  /// The per-shard models (kVote mode), in shard-index order; empty shards
-  /// are skipped.
-  const std::vector<CrossMineClassifier>& voters() const { return voters_; }
 
   /// Counters from the last Train (also surfaced as `train.shard.*`
   /// metrics when a registry is attached).
@@ -127,7 +110,6 @@ class ShardedClassifier : public RelationalClassifier {
   CrossMineOptions base_;
   ShardOptions shard_options_;
   CrossMineClassifier merged_;
-  std::vector<CrossMineClassifier> voters_;
   ClassId default_class_ = 0;
   int num_classes_ = 0;
   Stats stats_;

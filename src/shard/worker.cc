@@ -53,7 +53,6 @@ std::vector<std::string> WorkerOptionArgs(const CrossMineOptions& o) {
   add("--wopt-numerical", flag(o.use_numerical_literals));
   add("--wopt-aggregations", flag(o.use_aggregation_literals));
   add("--wopt-lookahead", flag(o.look_one_ahead));
-  add("--wopt-bitmap-index", flag(o.use_bitmap_index));
   add("--wopt-sampling", flag(o.use_sampling));
   add("--wopt-neg-pos-ratio", StrFormat("%.17g", o.neg_pos_ratio));
   add("--wopt-max-negative", StrFormat("%u", o.max_num_negative));
@@ -140,9 +139,6 @@ int TrainShardMain(int argc, char** argv) {
     } else if (arg == "--wopt-lookahead") {
       if (!want_int(arg.c_str())) return 2;
       opts.look_one_ahead = iv != 0;
-    } else if (arg == "--wopt-bitmap-index") {
-      if (!want_int(arg.c_str())) return 2;
-      opts.use_bitmap_index = iv != 0;
     } else if (arg == "--wopt-sampling") {
       if (!want_int(arg.c_str())) return 2;
       opts.use_sampling = iv != 0;

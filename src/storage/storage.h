@@ -43,12 +43,6 @@ StatusOr<Database> OpenDatabase(const std::string& path,
 /// directory (created if absent).
 Status SaveDatabase(const Database& db, const std::string& path);
 
-/// Deprecated: format-specific entry points, re-exported so external
-/// callers have one blessed header during the transition. New code should
-/// use `OpenDatabase` / `SaveDatabase`, which subsume both.
-using crossmine::LoadDatabaseCsv;
-using crossmine::SaveDatabaseCsv;
-
 }  // namespace crossmine::storage
 
 #endif  // CROSSMINE_STORAGE_STORAGE_H_

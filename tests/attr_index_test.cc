@@ -1,27 +1,16 @@
 // AttrIndex correctness: the cached inverted index must list exactly the
 // column's non-NULL (value, tuple) pairs in CSR form, promote dense values
-// to bitmaps per the break-even rule, and rebuild after mutations. The
-// equivalence tests then prove the point of all that machinery: training
-// with the bitmap engine on and off produces byte-identical models.
+// to bitmaps per the break-even rule, and rebuild after mutations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <numeric>
-#include <set>
-#include <sstream>
 #include <vector>
 
 #include "core/bitmap_ops.h"
-#include "core/classifier.h"
-#include "core/model_io.h"
-#include "datagen/financial.h"
-#include "datagen/mutagenesis.h"
 #include "datagen/synthetic.h"
 #include "relational/database.h"
 #include "test_util.h"
@@ -143,71 +132,6 @@ TEST(AttrIndexTest, CachedUntilMutationThenRebuilt) {
   ASSERT_EQ(rebuilt.posting_count(v), 1u);
   EXPECT_EQ(rebuilt.posting(v)[0], 0u);
   CheckIndexAgainstColumn(rel, f.account_frequency);
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Trains and serializes; the raw container bytes are the comparison unit —
-/// any divergence between the two search engines must surface here.
-std::string TrainedModelBytes(const Database& db, CrossMineOptions opts,
-                              const char* tag) {
-  CrossMineClassifier model(opts);
-  std::vector<TupleId> all(db.target_relation().num_tuples());
-  std::iota(all.begin(), all.end(), 0);
-  EXPECT_TRUE(model.Train(db, all).ok());
-  std::string path = ::testing::TempDir() + "/attr_index_equiv_" + tag + ".cmm";
-  std::filesystem::remove(path);
-  EXPECT_TRUE(SaveModel(model, db, path).ok());
-  std::string bytes = ReadFileBytes(path);
-  EXPECT_FALSE(bytes.empty());
-  return bytes;
-}
-
-void CheckEngineEquivalence(const Database& db, const char* tag) {
-  CrossMineOptions on;
-  on.use_bitmap_index = true;
-  CrossMineOptions off;
-  off.use_bitmap_index = false;
-  std::string with_index = TrainedModelBytes(db, on, tag);
-  EXPECT_EQ(with_index, TrainedModelBytes(db, off, tag))
-      << tag << ": bitmap and scalar engines trained different models";
-  // And across thread counts with the index on.
-  on.num_threads = 4;
-  EXPECT_EQ(with_index, TrainedModelBytes(db, on, tag))
-      << tag << ": 4-thread bitmap-indexed model diverged";
-}
-
-TEST(AttrIndexEquivalenceTest, SyntheticModelsByteIdentical) {
-  datagen::SyntheticConfig cfg;
-  cfg.num_relations = 8;
-  cfg.expected_tuples = 150;
-  cfg.seed = 17;
-  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
-  ASSERT_TRUE(db.ok());
-  CheckEngineEquivalence(*db, "synthetic");
-}
-
-TEST(AttrIndexEquivalenceTest, FinancialModelsByteIdentical) {
-  datagen::FinancialConfig cfg;
-  cfg.num_loans = 80;
-  cfg.seed = 5;
-  StatusOr<Database> db = datagen::GenerateFinancialDatabase(cfg);
-  ASSERT_TRUE(db.ok());
-  CheckEngineEquivalence(*db, "financial");
-}
-
-TEST(AttrIndexEquivalenceTest, MutagenesisModelsByteIdentical) {
-  datagen::MutagenesisConfig cfg;
-  cfg.num_molecules = 60;
-  cfg.seed = 9;
-  StatusOr<Database> db = datagen::GenerateMutagenesisDatabase(cfg);
-  ASSERT_TRUE(db.ok());
-  CheckEngineEquivalence(*db, "mutagenesis");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "core/classifier.h"
 #include "core/model_io.h"
 #include "datagen/synthetic.h"
+#include "relational/csv.h"
 #include "storage/storage.h"
 #include "test_util.h"
 
@@ -280,8 +281,8 @@ TEST(ColumnarGoldenTest, CsvConvertOpenTrainingMatchesCsvTraining) {
 
   std::string csv_dir = TempPath("csv");
   std::filesystem::create_directories(csv_dir);
-  ASSERT_TRUE(storage::SaveDatabaseCsv(*db, csv_dir).ok());
-  StatusOr<Database> from_csv = storage::LoadDatabaseCsv(csv_dir);
+  ASSERT_TRUE(SaveDatabaseCsv(*db, csv_dir).ok());
+  StatusOr<Database> from_csv = LoadDatabaseCsv(csv_dir);
   ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
 
   std::string cmdb = TempPath("converted.cmdb");

@@ -63,10 +63,10 @@ class CsvCorruptionTest : public ::testing::Test {
     std::filesystem::remove_all(baseline_);
     std::filesystem::create_directories(baseline_);
     testing::Fig2Database fig = MakeFig2Database();
-    ASSERT_TRUE(storage::SaveDatabaseCsv(fig.db, baseline_).ok());
+    ASSERT_TRUE(SaveDatabaseCsv(fig.db, baseline_).ok());
     // The corpus below relies on the saved layout: schema.txt with the
     // target relation last, plus Account.csv / Loan.csv.
-    ASSERT_TRUE(storage::LoadDatabaseCsv(baseline_).ok());
+    ASSERT_TRUE(LoadDatabaseCsv(baseline_).ok());
   }
 
   /// Fresh copy of the pristine dataset to corrupt.
@@ -76,7 +76,7 @@ class CsvCorruptionTest : public ::testing::Test {
   }
 
   void ExpectRejected(const std::string& what) {
-    StatusOr<Database> db = storage::LoadDatabaseCsv(scratch_);
+    StatusOr<Database> db = LoadDatabaseCsv(scratch_);
     EXPECT_FALSE(db.ok()) << what << ": corrupted dataset loaded successfully";
   }
 

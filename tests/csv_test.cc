@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/storage.h"
-
 #include <filesystem>
 #include <fstream>
 
@@ -32,9 +30,9 @@ class CsvTest : public ::testing::Test {
 
 TEST_F(CsvTest, RoundTripPreservesEverything) {
   testing::Fig2Database f = testing::MakeFig2Database();
-  ASSERT_TRUE(storage::SaveDatabaseCsv(f.db, dir_).ok());
+  ASSERT_TRUE(SaveDatabaseCsv(f.db, dir_).ok());
 
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Database& db = *loaded;
 
@@ -70,8 +68,8 @@ TEST_F(CsvTest, RoundTripPreservesEverything) {
 
 TEST_F(CsvTest, RoundTripJoinGraphIdentical) {
   testing::Fig2Database f = testing::MakeFig2Database();
-  ASSERT_TRUE(storage::SaveDatabaseCsv(f.db, dir_).ok());
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  ASSERT_TRUE(SaveDatabaseCsv(f.db, dir_).ok());
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->edges().size(), f.db.edges().size());
   for (size_t i = 0; i < f.db.edges().size(); ++i) {
@@ -82,7 +80,7 @@ TEST_F(CsvTest, RoundTripJoinGraphIdentical) {
 }
 
 TEST_F(CsvTest, MissingDirectoryFails) {
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_ + "/nonexistent");
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_ + "/nonexistent");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -90,27 +88,27 @@ TEST_F(CsvTest, MissingDirectoryFails) {
 TEST_F(CsvTest, MissingClassesDirectiveFails) {
   WriteFile("schema.txt", "relation A target\nattr id pk\n");
   WriteFile("A.csv", "id,__class__\n0,0\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_FALSE(loaded.ok());
 }
 
 TEST_F(CsvTest, UnknownDirectiveFails) {
   WriteFile("schema.txt", "classes 2\nbogus A\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CsvTest, NoTargetFails) {
   WriteFile("schema.txt", "classes 2\nrelation A\nattr id pk\n");
   WriteFile("A.csv", "id\n0\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CsvTest, UnknownFkTargetFails) {
   WriteFile("schema.txt",
             "classes 2\nrelation A target\nattr id pk\nattr x fk Ghost\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -118,7 +116,7 @@ TEST_F(CsvTest, ColumnCountMismatchFails) {
   WriteFile("schema.txt",
             "classes 2\nrelation A target\nattr id pk\nattr c cat\n");
   WriteFile("A.csv", "id,c,__class__\n0,red\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -126,14 +124,14 @@ TEST_F(CsvTest, BadNumericValueFails) {
   WriteFile("schema.txt",
             "classes 2\nrelation A target\nattr id pk\nattr x num\n");
   WriteFile("A.csv", "id,x,__class__\n0,notanumber,0\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CsvTest, BadLabelFails) {
   WriteFile("schema.txt", "classes 2\nrelation A target\nattr id pk\n");
   WriteFile("A.csv", "id,__class__\n0,9\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -143,7 +141,7 @@ TEST_F(CsvTest, EmptyKeyCellLoadsAsNull) {
             "relation A target\nattr id pk\nattr b fk B\n");
   WriteFile("B.csv", "id\n0\n");
   WriteFile("A.csv", "id,b,__class__\n0,,1\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->relation(1).Int(0, 1), kNullValue);
 }
@@ -152,7 +150,7 @@ TEST_F(CsvTest, QuotedFieldsWithCommas) {
   WriteFile("schema.txt",
             "classes 2\nrelation A target\nattr id pk\nattr c cat\n");
   WriteFile("A.csv", "id,c,__class__\n0,\"red, dark\",1\n1,\"say \"\"hi\"\"\",0\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Relation& a = loaded->relation(0);
   EXPECT_EQ(a.CategoryName(1, a.Int(0, 1)), "red, dark");
@@ -163,7 +161,7 @@ TEST_F(CsvTest, CommentsAndBlankLinesIgnoredInSchema) {
   WriteFile("schema.txt",
             "# a comment\n\nclasses 2\nrelation A target\nattr id pk\n");
   WriteFile("A.csv", "id,__class__\n0,1\n");
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->labels()[0], 1);
 }
@@ -177,8 +175,8 @@ TEST_F(CsvTest, SyntheticRoundTripTrainsIdentically) {
   cfg.seed = 77;
   StatusOr<Database> gen = datagen::GenerateSyntheticDatabase(cfg);
   ASSERT_TRUE(gen.ok());
-  ASSERT_TRUE(storage::SaveDatabaseCsv(*gen, dir_).ok());
-  StatusOr<Database> loaded = storage::LoadDatabaseCsv(dir_);
+  ASSERT_TRUE(SaveDatabaseCsv(*gen, dir_).ok());
+  StatusOr<Database> loaded = LoadDatabaseCsv(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->TotalTuples(), gen->TotalTuples());
   EXPECT_EQ(loaded->labels(), gen->labels());

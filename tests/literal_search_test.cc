@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "core/foil_gain.h"
 #include "core/propagation.h"
@@ -12,9 +12,12 @@
 namespace crossmine {
 namespace {
 
+using testing::BruteForceBestGain;
+using testing::BruteForceCoverage;
 using testing::Fig2Database;
 using testing::MakeFig2Database;
 using testing::MakeRandomDatabase;
+using testing::RandomAliveMask;
 
 struct SearchSetup {
   std::vector<uint8_t> positive;
@@ -22,13 +25,16 @@ struct SearchSetup {
   uint32_t pos = 0, neg = 0;
 };
 
-SearchSetup SetupFromLabels(const Database& db) {
+/// Class flags and P(c)/N(c) for `alive` (empty = every target alive).
+SearchSetup SetupFromLabels(const Database& db,
+                            std::vector<uint8_t> alive = {}) {
   SearchSetup s;
   TupleId n = db.target_relation().num_tuples();
   s.positive.resize(n);
-  s.alive.assign(n, 1);
+  s.alive = alive.empty() ? std::vector<uint8_t>(n, 1) : std::move(alive);
   for (TupleId t = 0; t < n; ++t) {
     s.positive[t] = db.labels()[t] == 1;
+    if (!s.alive[t]) continue;
     if (s.positive[t]) {
       ++s.pos;
     } else {
@@ -234,52 +240,72 @@ TEST(LiteralSearchTest, DisablingFamiliesRestrictsSearch) {
 }
 
 // Property test: categorical literal coverage equals a brute-force
-// distinct-target count on random databases.
+// distinct-target count on random databases, and no category value beats
+// the winner's gain.
 class LiteralSearchPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// Searches `rel` for categorical literals under `s.alive` and checks the
+/// winner against the brute-force oracles.
+void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
+                                        const IdSetStore& idsets,
+                                        const SearchSetup& s,
+                                        LiteralSearcher* searcher,
+                                        bool identity = false) {
+  const Relation& rel = db.relation(rel_id);
+  CrossMineOptions opts;
+  opts.use_numerical_literals = false;
+  opts.use_aggregation_literals = false;
+  CandidateLiteral best = searcher->FindBest(rel_id, idsets, opts, identity);
+  EXPECT_DOUBLE_EQ(best.gain,
+                   BruteForceBestGain(rel, idsets, s.alive, s.positive, s.pos,
+                                      s.neg, /*numerical=*/false));
+  if (!best.valid()) return;
+  auto [pos, neg] =
+      BruteForceCoverage(idsets, s.alive, s.positive, [&](TupleId u) {
+        return rel.Int(u, best.constraint.attr) == best.constraint.category;
+      });
+  EXPECT_EQ(best.pos_cov, pos);
+  EXPECT_EQ(best.neg_cov, neg);
+  EXPECT_DOUBLE_EQ(best.gain, FoilGain(s.pos, s.neg, pos, neg));
+}
+
+/// Checks the node-0 identity search on the target and, for every edge out
+/// of the target, the search over alive-filtered and unfiltered propagated
+/// idsets (the latter keep dead targets, which counting must skip).
+void ExpectEdgesMatchBruteForce(const Database& db, const SearchSetup& s) {
+  LiteralSearcher searcher(&db, &s.positive);
+  searcher.SetContext(&s.alive, s.pos, s.neg);
+  std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
+  IdSetStore full_root, alive_root;
+  full_root.InitIdentity(all);
+  alive_root.InitIdentity(s.alive);
+  ExpectCategoricalMatchesBruteForce(db, db.target(), alive_root, s, &searcher,
+                                     /*identity=*/true);
+  for (const JoinEdge& edge : db.edges()) {
+    if (edge.from_rel != db.target()) continue;
+    PropagationResult filtered = PropagateIds(db, edge, alive_root, &s.alive);
+    PropagationResult unfiltered = PropagateIds(db, edge, full_root, nullptr);
+    ASSERT_TRUE(filtered.ok && unfiltered.ok);
+    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, filtered.idsets, s,
+                                       &searcher);
+    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, unfiltered.idsets, s,
+                                       &searcher);
+  }
+}
 
 TEST_P(LiteralSearchPropertyTest, CategoricalCountsMatchBruteForce) {
   Database db = MakeRandomDatabase(GetParam());
-  TupleId n = db.target_relation().num_tuples();
-  SearchSetup s = SetupFromLabels(db);
-  LiteralSearcher searcher(&db, &s.positive);
-  searcher.SetContext(&s.alive, s.pos, s.neg);
+  ExpectEdgesMatchBruteForce(db, SetupFromLabels(db));
 
-  std::vector<uint8_t> all(n, 1);
-  IdSetStore root;
-  root.InitIdentity(all);
-
-  for (const JoinEdge& edge : db.edges()) {
-    if (edge.from_rel != db.target()) continue;
-    PropagationResult prop = PropagateIds(db, edge, root, nullptr);
-    ASSERT_TRUE(prop.ok);
-    const Relation& rel = db.relation(edge.to_rel);
-
-    CrossMineOptions opts;
-    opts.use_numerical_literals = false;
-    opts.use_aggregation_literals = false;
-    CandidateLiteral best = searcher.FindBest(edge.to_rel, prop.idsets, opts);
-    if (!best.valid()) continue;
-
-    // Recompute the winning literal's coverage by brute force.
-    std::set<TupleId> covered;
-    for (TupleId u = 0; u < rel.num_tuples(); ++u) {
-      if (rel.Int(u, best.constraint.attr) != best.constraint.category) {
-        continue;
-      }
-      prop.idsets.ForEach(u, [&](TupleId id) { covered.insert(id); });
-    }
-    uint32_t pos = 0, neg = 0;
-    for (TupleId id : covered) {
-      if (s.positive[id]) {
-        ++pos;
-      } else {
-        ++neg;
-      }
-    }
-    EXPECT_EQ(best.pos_cov, pos);
-    EXPECT_EQ(best.neg_cov, neg);
-    EXPECT_DOUBLE_EQ(best.gain, FoilGain(s.pos, s.neg, pos, neg));
-  }
+  // A sampling-like frontier (~15% of targets alive) over a skewed-fan-in
+  // database: filtered propagation leaves sparse postings (the epoch walk),
+  // unfiltered propagation leaves bitmap-kind idsets (the word-parallel
+  // union).
+  Database sampled = MakeRandomDatabase(GetParam(), 3, 240, /*fk_values=*/6);
+  TupleId n = sampled.target_relation().num_tuples();
+  ExpectEdgesMatchBruteForce(
+      sampled,
+      SetupFromLabels(sampled, RandomAliveMask(GetParam() ^ 0xa11e, n, 0.15)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiteralSearchPropertyTest,

@@ -76,13 +76,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IdSetFuzzTest,
 class NumericalLiteralOracleTest
     : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(NumericalLiteralOracleTest, BestLiteralCountsMatchBruteForce) {
-  Database db = MakeRandomDatabase(GetParam());
+/// Runs Find-Best-Literal (categorical + numerical) under `alive` and checks
+/// each winner against the brute-force oracles: the winning numerical
+/// literal's counts, and that no categorical value or numerical threshold
+/// beats the winner's gain. `filter` searches as training does: the target
+/// itself under the node-0 identity hint, then idsets propagated through
+/// the alive mask; without it the propagated idsets keep dead targets,
+/// which counting must skip.
+void ExpectNumericalMatchesBruteForce(const Database& db,
+                                      const std::vector<uint8_t>& alive,
+                                      bool filter) {
   TupleId n = db.target_relation().num_tuples();
-  std::vector<uint8_t> positive(n), alive(n, 1);
+  std::vector<uint8_t> positive(n);
   uint32_t pos = 0, neg = 0;
   for (TupleId t = 0; t < n; ++t) {
     positive[t] = db.labels()[t] == 1;
+    if (!alive[t]) continue;
     if (positive[t]) {
       ++pos;
     } else {
@@ -91,44 +100,56 @@ TEST_P(NumericalLiteralOracleTest, BestLiteralCountsMatchBruteForce) {
   }
   LiteralSearcher searcher(&db, &positive);
   searcher.SetContext(&alive, pos, neg);
+  CrossMineOptions opts;
+  opts.use_aggregation_literals = false;  // numerical-only focus
 
-  std::vector<uint8_t> all(n, 1);
-  IdSetStore root;
-  root.InitIdentity(all);
-
-  for (const JoinEdge& edge : db.edges()) {
-    if (edge.from_rel != db.target()) continue;
-    PropagationResult prop = PropagateIds(db, edge, root, nullptr);
-    ASSERT_TRUE(prop.ok);
-    const Relation& rel = db.relation(edge.to_rel);
-
-    CrossMineOptions opts;
-    opts.use_aggregation_literals = false;  // numerical-only focus
-    CandidateLiteral best = searcher.FindBest(edge.to_rel, prop.idsets, opts);
-    if (!best.valid() || best.constraint.cmp == CmpOp::kEq) continue;
+  auto check = [&](RelId rel_id, const IdSetStore& idsets, bool identity) {
+    const Relation& rel = db.relation(rel_id);
+    CandidateLiteral best = searcher.FindBest(rel_id, idsets, opts, identity);
+    EXPECT_DOUBLE_EQ(best.gain,
+                     testing::BruteForceBestGain(rel, idsets, alive, positive,
+                                                 pos, neg, /*numerical=*/true));
+    if (!best.valid() || best.constraint.cmp == CmpOp::kEq) return;
 
     // Recompute coverage of the winning numerical literal by brute force.
-    std::set<TupleId> covered;
     const Column<double>& col = rel.DoubleColumn(best.constraint.attr);
-    for (TupleId u = 0; u < rel.num_tuples(); ++u) {
-      bool ok = best.constraint.cmp == CmpOp::kLe
-                    ? col[u] <= best.constraint.threshold
-                    : col[u] >= best.constraint.threshold;
-      if (!ok) continue;
-      prop.idsets.ForEach(u, [&](TupleId id) { covered.insert(id); });
-    }
-    uint32_t p = 0, ng = 0;
-    for (TupleId id : covered) {
-      if (positive[id]) {
-        ++p;
-      } else {
-        ++ng;
-      }
-    }
+    auto [p, ng] = testing::BruteForceCoverage(
+        idsets, alive, positive, [&](TupleId u) {
+          return best.constraint.cmp == CmpOp::kLe
+                     ? col[u] <= best.constraint.threshold
+                     : col[u] >= best.constraint.threshold;
+        });
     EXPECT_EQ(best.pos_cov, p);
     EXPECT_EQ(best.neg_cov, ng);
     EXPECT_DOUBLE_EQ(best.gain, FoilGain(pos, neg, p, ng));
+  };
+
+  std::vector<uint8_t> all(n, 1);
+  IdSetStore root;
+  root.InitIdentity(filter ? alive : all);
+  if (filter) check(db.target(), root, /*identity=*/true);
+  for (const JoinEdge& edge : db.edges()) {
+    if (edge.from_rel != db.target()) continue;
+    PropagationResult prop =
+        PropagateIds(db, edge, root, filter ? &alive : nullptr);
+    ASSERT_TRUE(prop.ok);
+    check(edge.to_rel, prop.idsets, /*identity=*/false);
   }
+}
+
+TEST_P(NumericalLiteralOracleTest, BestLiteralCountsMatchBruteForce) {
+  Database db = MakeRandomDatabase(GetParam());
+  std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
+  ExpectNumericalMatchesBruteForce(db, all, /*filter=*/false);
+
+  // ~15% of targets alive over a skewed-fan-in database: unfiltered
+  // propagation leaves bitmap-kind idsets, so the sweeps run through
+  // `OrCountNew`; filtered propagation leaves sparse ones.
+  Database sampled = MakeRandomDatabase(GetParam(), 3, 240, /*fk_values=*/6);
+  std::vector<uint8_t> alive = testing::RandomAliveMask(
+      GetParam() ^ 0xa11e, sampled.target_relation().num_tuples(), 0.15);
+  ExpectNumericalMatchesBruteForce(sampled, alive, /*filter=*/false);
+  ExpectNumericalMatchesBruteForce(sampled, alive, /*filter=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NumericalLiteralOracleTest,

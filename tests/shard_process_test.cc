@@ -205,7 +205,6 @@ TEST(ShardProcessTest, OptionsPropagateToWorkers) {
   CrossMineOptions base = BaseOptions();
   base.use_sampling = true;
   base.seed = 9;
-  base.use_bitmap_index = false;
   base.look_one_ahead = false;
   base.min_foil_gain = 1.5;
   std::string expected = InProcessBytes(db, base, /*shards=*/2);
@@ -224,7 +223,6 @@ TEST(ShardProcessTest, WorkerOptionArgsRoundTripsEveryTrainingKnob) {
   o.use_numerical_literals = false;
   o.use_aggregation_literals = false;
   o.look_one_ahead = false;
-  o.use_bitmap_index = false;
   o.use_sampling = true;
   o.neg_pos_ratio = 2.5;
   o.max_num_negative = 123;
@@ -252,7 +250,6 @@ TEST(ShardProcessTest, WorkerOptionArgsRoundTripsEveryTrainingKnob) {
   EXPECT_EQ(value_of("--wopt-numerical"), "0");
   EXPECT_EQ(value_of("--wopt-aggregations"), "0");
   EXPECT_EQ(value_of("--wopt-lookahead"), "0");
-  EXPECT_EQ(value_of("--wopt-bitmap-index"), "0");
   EXPECT_EQ(value_of("--wopt-sampling"), "1");
   EXPECT_EQ(value_of("--wopt-neg-pos-ratio"), "2.5");
   EXPECT_EQ(value_of("--wopt-max-negative"), "123");

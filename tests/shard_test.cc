@@ -293,25 +293,6 @@ TEST(ShardedTrainerTest, MergeSampleIsDeterministic) {
   EXPECT_EQ(ShardedBytes(db, ids, {}, sopts, "ms2"), first);
 }
 
-TEST(ShardedTrainerTest, VoteModePredictsDeterministically) {
-  Database db = MakeDb(26);
-  std::vector<TupleId> ids = AllIds(db);
-  shard::ShardOptions sopts;
-  sopts.num_shards = 3;
-  sopts.merge = shard::MergeMode::kVote;
-
-  CrossMineOptions base;
-  base.num_threads = 2;
-  shard::ShardedClassifier a(base, sopts);
-  ASSERT_TRUE(a.Train(db, ids).ok());
-  EXPECT_GT(a.voters().size(), 1u);
-
-  base.num_threads = 4;
-  shard::ShardedClassifier b(base, sopts);
-  ASSERT_TRUE(b.Train(db, ids).ok());
-  EXPECT_EQ(a.Predict(db, ids), b.Predict(db, ids));
-}
-
 TEST(ShardedTrainerTest, TrainsOnASubsetAndPredictsTheRest) {
   Database db = MakeDb(27);
   std::vector<TupleId> all = AllIds(db);

@@ -3,12 +3,15 @@
 
 // Shared fixtures and brute-force oracles for the CrossMine test suite.
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/constraint_eval.h"
+#include "core/foil_gain.h"
 #include "core/idset.h"
 #include "core/literal.h"
 #include "relational/database.h"
@@ -110,9 +113,12 @@ inline Fig2Database MakeFig2Database() {
 /// (relation 0 is the target), each non-target relation reached via a
 /// random mix of FK directions, 1–2 categorical and 0–1 numerical
 /// attributes per relation, random sizes, random labels. FK values may
-/// dangle deliberately unless `fix_referential` is set.
+/// dangle deliberately. `fk_values` (0 = `max_tuples`) bounds the FK value
+/// range: a small range skews fan-in, so propagated idsets grow past the
+/// bitmap threshold and destinations sharing a join value alias one span.
 inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
-                                   int max_tuples = 30) {
+                                   int max_tuples = 30, int fk_values = 0) {
+  if (fk_values == 0) fk_values = max_tuples;
   Rng rng(seed);
   Database db;
   // Relation 0: target with pk, one categorical, one numerical, and one FK
@@ -162,7 +168,7 @@ inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
               rel.SetInt(t, a, kNullValue);
             } else {
               rel.SetInt(t, a, static_cast<int64_t>(rng.Uniform(
-                                   static_cast<uint64_t>(max_tuples))));
+                                   static_cast<uint64_t>(fk_values))));
             }
             break;
           case AttrKind::kPrimaryKey:
@@ -175,6 +181,85 @@ inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
   db.SetLabels(std::move(labels), 2);
   CM_CHECK(db.Finalize().ok());
   return db;
+}
+
+/// A seeded sampling-like alive mask: each of `n` targets survives with
+/// probability `keep`, like the sparse frontier §6 negative sampling leaves.
+inline std::vector<uint8_t> RandomAliveMask(uint64_t seed, TupleId n,
+                                            double keep) {
+  Rng rng(seed);
+  std::vector<uint8_t> alive(n);
+  for (auto& a : alive) a = rng.Bernoulli(keep) ? 1 : 0;
+  return alive;
+}
+
+/// Brute-force distinct-target coverage (§4.3): the alive positive and
+/// negative targets in the union of `idsets` over the tuples accepted by
+/// `keep`, collected through a std::set.
+template <typename Keep>
+std::pair<uint32_t, uint32_t> BruteForceCoverage(
+    const IdSetStore& idsets, const std::vector<uint8_t>& alive,
+    const std::vector<uint8_t>& positive, Keep keep) {
+  std::set<TupleId> covered;
+  for (TupleId u = 0; u < idsets.num_sets(); ++u) {
+    if (!keep(u)) continue;
+    idsets.ForEach(u, [&](TupleId id) {
+      if (alive[id]) covered.insert(id);
+    });
+  }
+  uint32_t pos = 0, neg = 0;
+  for (TupleId id : covered) {
+    if (positive[id]) {
+      ++pos;
+    } else {
+      ++neg;
+    }
+  }
+  return {pos, neg};
+}
+
+/// Brute-force best gain over every categorical value (and, with
+/// `numerical`, every `<= v` / `>= v` threshold) of `rel`, under the
+/// searcher's candidate rules: a literal must cover a positive and must not
+/// cover every alive target. -1 when no literal qualifies, matching an
+/// invalid `CandidateLiteral`.
+inline double BruteForceBestGain(const Relation& rel, const IdSetStore& idsets,
+                                 const std::vector<uint8_t>& alive,
+                                 const std::vector<uint8_t>& positive,
+                                 uint32_t pos, uint32_t neg, bool numerical) {
+  double best = -1.0;
+  auto offer = [&](std::pair<uint32_t, uint32_t> cov) {
+    if (cov.first == 0 || (cov.first == pos && cov.second == neg)) return;
+    best = std::max(best, FoilGain(pos, neg, cov.first, cov.second));
+  };
+  for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
+    AttrKind kind = rel.schema().attr(a).kind;
+    if (kind == AttrKind::kCategorical) {
+      std::set<int64_t> values;
+      for (TupleId u = 0; u < rel.num_tuples(); ++u) {
+        if (rel.Int(u, a) != kNullValue) values.insert(rel.Int(u, a));
+      }
+      for (int64_t v : values) {
+        offer(BruteForceCoverage(idsets, alive, positive, [&](TupleId u) {
+          return rel.Int(u, a) == v;
+        }));
+      }
+    } else if (kind == AttrKind::kNumerical && numerical) {
+      std::set<double> values;
+      for (TupleId u = 0; u < rel.num_tuples(); ++u) {
+        values.insert(rel.Double(u, a));
+      }
+      for (double v : values) {
+        offer(BruteForceCoverage(idsets, alive, positive, [&](TupleId u) {
+          return rel.Double(u, a) <= v;
+        }));
+        offer(BruteForceCoverage(idsets, alive, positive, [&](TupleId u) {
+          return rel.Double(u, a) >= v;
+        }));
+      }
+    }
+  }
+  return best;
 }
 
 /// Brute-force oracle for one propagation step: target ids joinable with

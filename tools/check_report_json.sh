@@ -4,7 +4,9 @@
 # TILDE, and validates that every stdout line is one JSON object and that
 # fold lines carry the required schema — per-fold phase timings
 # (propagation, literal search, sampling, re-estimation), propagation-cache
-# hit/refresh/miss counters and per-class clause counts.
+# hit/refresh/miss counters and per-class clause counts. Malformed flag
+# values must be rejected before any output: exit 2, nothing on stdout, no
+# model file, and a stderr message naming the flag.
 #
 # Usage: tools/check_report_json.sh [crossmine-binary]
 #        (default: build/tools/crossmine)
@@ -86,5 +88,22 @@ EOF
 validate crossmine
 validate foil
 validate tilde
+
+reject() {
+  local flag="$1"
+  shift
+  local rc=0
+  "$BIN" "$@" > "$DIR/reject.out" 2> "$DIR/reject.err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ -s "$DIR/reject.out" ] || [ -e "$DIR/reject.cmm" ] ||
+    ! grep -q -- "$flag" "$DIR/reject.err"; then
+    echo "check_report_json: $* was not rejected cleanly (exit $rc)" >&2
+    cat "$DIR/reject.err" >&2
+    exit 1
+  fi
+}
+
+reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads four
+reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain 1,5
+reject --mode predict "$DIR/data" "$DIR/reject.cmm" --mode bestest
 
 echo "check_report_json: OK"

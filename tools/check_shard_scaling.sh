@@ -2,7 +2,8 @@
 # End-to-end check of the shard-parallel training contract, driven through
 # the CLI the way a user would run it:
 #   1. `--shards 1` saves a model byte-identical to the unsharded path —
-#      partition + per-shard training + merge collapses to the plain trainer;
+#      partition + per-shard training + merge collapses to the plain trainer —
+#      and so does an unsharded `--threads 4` train;
 #   2. `--shards 4` is deterministic: byte-identical across worker thread
 #      counts and across repeated runs (merge order is fixed by shard index,
 #      never by scheduling);
@@ -30,11 +31,16 @@ trap 'rm -rf "$DIR"' EXIT
 "$BIN" generate synthetic "$DIR/data.cmdb" --seed 31 --relations 10 \
   --tuples 300 > /dev/null
 
-# 1. shards=1 == unsharded, byte for byte.
+# 1. shards=1 == unsharded == unsharded at 4 threads, byte for byte.
 "$BIN" train "$DIR/data.cmdb" "$DIR/plain.cmm" > /dev/null
 "$BIN" train "$DIR/data.cmdb" "$DIR/sh1.cmm" --shards 1 > /dev/null
 cmp "$DIR/plain.cmm" "$DIR/sh1.cmm" || {
   echo "check_shard_scaling: --shards 1 model differs from unsharded" >&2
+  exit 1
+}
+"$BIN" train "$DIR/data.cmdb" "$DIR/plain_t4.cmm" --threads 4 > /dev/null
+cmp "$DIR/plain.cmm" "$DIR/plain_t4.cmm" || {
+  echo "check_shard_scaling: unsharded --threads 4 model differs" >&2
   exit 1
 }
 

@@ -126,6 +126,9 @@ int Usage() {
       "  points, e.g. \"model_io.save.rename@1=EIO\". Also read from the\n"
       "  CROSSMINE_FAULT_PLAN environment variable.\n"
       "\n"
+      "numeric flags: a value that does not parse as a number exits 2\n"
+      "  naming the flag, as does an unknown --mode value.\n"
+      "\n"
       "model options (evaluate / train):\n"
       "  --sampling             enable negative sampling (off by default)\n"
       "  --neg-pos-ratio R      negatives kept per positive when sampling\n"
@@ -133,8 +136,6 @@ int Usage() {
       "  --min-gain G           minimum FOIL gain to append a literal\n"
       "  --no-lookahead         disable the look-one-ahead second hop\n"
       "  --no-aggregations      disable aggregation literals\n"
-      "  --bitmap-index 0|1     bitmap-index counting kernel (default 1;\n"
-      "                         either value trains the identical model)\n"
       "  --threads N            clause-search worker threads (0 = auto)\n"
       "  --seed N               sampling seed\n"
       "  --mode best|vote|list  prediction mode\n"
@@ -142,11 +143,6 @@ int Usage() {
       "                         target relation into K shards, train them\n"
       "                         concurrently, merge deterministically\n"
       "                         (K=1 reproduces unsharded byte-identically)\n"
-      "  --shard-merge rescore|vote\n"
-      "                         merge: re-scored covering pass over the\n"
-      "                         full training set (default; saveable) or a\n"
-      "                         per-shard majority-vote ensemble\n"
-      "                         (evaluate only)\n"
       "  --shard-mode shared|closure\n"
       "                         non-target relations: zero-copy shared\n"
       "                         spans (default) or per-shard FK-closure\n"
@@ -192,12 +188,24 @@ std::map<std::string, std::string> ParseOptions(int argc, char** argv,
   return opts;
 }
 
+/// Rejects a present but malformed flag value: prints the flag and exits 2.
+/// Subcommands read every flag before they write any output, so a rejected
+/// run leaves stdout empty.
+[[noreturn]] void BadFlagValue(const std::string& key, const std::string& value,
+                               const char* want) {
+  std::fprintf(stderr, "bad --%s value '%s' (want %s)\n", key.c_str(),
+               value.c_str(), want);
+  std::exit(2);
+}
+
 int64_t OptInt(const std::map<std::string, std::string>& opts,
                const std::string& key, int64_t fallback) {
   auto it = opts.find(key);
   if (it == opts.end()) return fallback;
-  int64_t v = fallback;
-  crossmine::ParseInt64(it->second, &v);
+  int64_t v = 0;
+  if (!crossmine::ParseInt64(it->second, &v)) {
+    BadFlagValue(key, it->second, "an integer");
+  }
   return v;
 }
 
@@ -205,8 +213,10 @@ double OptDouble(const std::map<std::string, std::string>& opts,
                  const std::string& key, double fallback) {
   auto it = opts.find(key);
   if (it == opts.end()) return fallback;
-  double v = fallback;
-  crossmine::ParseDouble(it->second, &v);
+  double v = 0.0;
+  if (!crossmine::ParseDouble(it->second, &v)) {
+    BadFlagValue(key, it->second, "a number");
+  }
   return v;
 }
 
@@ -218,7 +228,6 @@ CrossMineOptions ParseCrossMineOptions(
   o.use_sampling = opts.count("sampling") > 0;
   o.look_one_ahead = opts.count("no-lookahead") == 0;
   o.use_aggregation_literals = opts.count("no-aggregations") == 0;
-  o.use_bitmap_index = OptInt(opts, "bitmap-index", 1) != 0;
   o.seed = static_cast<uint64_t>(OptInt(opts, "seed", 1));
   o.neg_pos_ratio = OptDouble(opts, "neg-pos-ratio", o.neg_pos_ratio);
   o.max_num_negative = static_cast<uint32_t>(
@@ -230,83 +239,67 @@ CrossMineOptions ParseCrossMineOptions(
   o.num_shards = static_cast<int>(OptInt(opts, "shards", 1));
   auto mode = opts.find("mode");
   if (mode != opts.end()) {
-    if (mode->second == "vote") {
+    if (mode->second == "best") {
+      o.prediction_mode = PredictionMode::kBestClause;
+    } else if (mode->second == "vote") {
       o.prediction_mode = PredictionMode::kWeightedVote;
     } else if (mode->second == "list") {
       o.prediction_mode = PredictionMode::kDecisionList;
+    } else {
+      BadFlagValue("mode", mode->second, "best, vote or list");
     }
   }
   return o;
 }
 
 /// Parses the `--shard-*` flags into shard::ShardOptions (the shard count
-/// itself rides in CrossMineOptions::num_shards). Returns false — after
-/// printing to stderr — on an unknown value.
-bool ParseShardOptions(const std::map<std::string, std::string>& opts,
-                       shard::ShardOptions* out) {
-  *out = shard::ShardOptions{};
-  if (auto it = opts.find("shard-merge"); it != opts.end()) {
-    if (it->second == "rescore") {
-      out->merge = shard::MergeMode::kRescore;
-    } else if (it->second == "vote") {
-      out->merge = shard::MergeMode::kVote;
-    } else {
-      std::fprintf(stderr,
-                   "bad --shard-merge value '%s' (want rescore or vote)\n",
-                   it->second.c_str());
-      return false;
-    }
-  }
+/// itself rides in CrossMineOptions::num_shards).
+shard::ShardOptions ParseShardOptions(
+    const std::map<std::string, std::string>& opts) {
+  shard::ShardOptions out;
   if (auto it = opts.find("shard-mode"); it != opts.end()) {
     if (it->second == "shared") {
-      out->partition = shard::PartitionMode::kShared;
+      out.partition = shard::PartitionMode::kShared;
     } else if (it->second == "closure") {
-      out->partition = shard::PartitionMode::kFkClosure;
+      out.partition = shard::PartitionMode::kFkClosure;
     } else {
-      std::fprintf(stderr,
-                   "bad --shard-mode value '%s' (want shared or closure)\n",
-                   it->second.c_str());
-      return false;
+      BadFlagValue("shard-mode", it->second, "shared or closure");
     }
   }
-  out->merge_sample = static_cast<uint64_t>(OptInt(opts, "shard-sample", 0));
+  out.merge_sample = static_cast<uint64_t>(OptInt(opts, "shard-sample", 0));
   if (auto it = opts.find("shard-exec"); it != opts.end()) {
     if (it->second == "inprocess") {
-      out->exec = shard::ShardExecMode::kInProcess;
+      out.exec = shard::ShardExecMode::kInProcess;
     } else if (it->second == "process") {
-      out->exec = shard::ShardExecMode::kProcess;
+      out.exec = shard::ShardExecMode::kProcess;
     } else {
-      std::fprintf(stderr,
-                   "bad --shard-exec value '%s' (want inprocess or process)\n",
-                   it->second.c_str());
-      return false;
+      BadFlagValue("shard-exec", it->second, "inprocess or process");
     }
   }
-  out->supervisor.quorum = static_cast<int>(OptInt(opts, "shard-quorum", 0));
-  out->supervisor.worker_timeout_seconds =
+  out.supervisor.quorum = static_cast<int>(OptInt(opts, "shard-quorum", 0));
+  out.supervisor.worker_timeout_seconds =
       OptDouble(opts, "shard-timeout-s", 0.0);
   int64_t retries = OptInt(opts, "shard-retries", 2);
-  out->supervisor.max_attempts = static_cast<int>(std::max<int64_t>(
+  out.supervisor.max_attempts = static_cast<int>(std::max<int64_t>(
       1, retries + 1));
   if (auto it = opts.find("shard-run-dir"); it != opts.end()) {
-    out->supervisor.run_dir = it->second;
+    out.supervisor.run_dir = it->second;
   }
-  out->supervisor.resume = opts.count("resume") > 0;
+  out.supervisor.resume = opts.count("resume") > 0;
   // Workers inherit the parent's index-memory budget: each one gets the
   // same --memory-budget-mb cap on its own cache.
-  out->supervisor.memory_budget_mb =
+  out.supervisor.memory_budget_mb =
       static_cast<uint64_t>(OptInt(opts, "memory-budget-mb", 0));
-  return true;
+  return out;
 }
 
 /// True when any shard flag was given — the signal to route train/evaluate
 /// through the ShardedClassifier (even at --shards 1, so the identity path
 /// is exercisable end to end).
 bool WantsSharding(const std::map<std::string, std::string>& opts) {
-  return opts.count("shards") > 0 || opts.count("shard-merge") > 0 ||
-         opts.count("shard-mode") > 0 || opts.count("shard-sample") > 0 ||
-         opts.count("shard-exec") > 0 || opts.count("shard-run-dir") > 0 ||
-         opts.count("shard-timeout-s") > 0 ||
+  return opts.count("shards") > 0 || opts.count("shard-mode") > 0 ||
+         opts.count("shard-sample") > 0 || opts.count("shard-exec") > 0 ||
+         opts.count("shard-run-dir") > 0 || opts.count("shard-timeout-s") > 0 ||
          opts.count("shard-retries") > 0 || opts.count("shard-quorum") > 0;
 }
 
@@ -325,23 +318,13 @@ StatusOr<Database> LoadDb(const std::string& path,
 
 enum class ReportMode { kNone, kText, kJson };
 
-/// Parses `--report text|json`; returns false (after printing to stderr) on
-/// an unknown value.
-bool ParseReportMode(const std::map<std::string, std::string>& opts,
-                     ReportMode* out) {
-  *out = ReportMode::kNone;
+/// Parses `--report text|json` (absent = no report).
+ReportMode ParseReportMode(const std::map<std::string, std::string>& opts) {
   auto it = opts.find("report");
-  if (it == opts.end()) return true;
-  if (it->second == "text") {
-    *out = ReportMode::kText;
-  } else if (it->second == "json") {
-    *out = ReportMode::kJson;
-  } else {
-    std::fprintf(stderr, "bad --report value '%s' (want text or json)\n",
-                 it->second.c_str());
-    return false;
-  }
-  return true;
+  if (it == opts.end()) return ReportMode::kNone;
+  if (it->second == "text") return ReportMode::kText;
+  if (it->second == "json") return ReportMode::kJson;
+  BadFlagValue("report", it->second, "text or json");
 }
 
 int Generate(int argc, char** argv) {
@@ -587,19 +570,17 @@ void PrintFoldJson(const char* classifier, int fold,
 int Evaluate(int argc, char** argv) {
   if (argc < 3) return Usage();
   auto opts = ParseOptions(argc, argv, 3);
-  StatusOr<Database> db = LoadDb(argv[2], opts);
-  if (!db.ok()) return 1;
   int folds = static_cast<int>(OptInt(opts, "folds", 10));
-  ReportMode report;
-  if (!ParseReportMode(opts, &report)) return 2;
+  ReportMode report = ParseReportMode(opts);
 
   std::string classifier = "crossmine";
   if (auto it = opts.find("classifier"); it != opts.end()) {
     classifier = it->second;
   }
   CrossMineOptions model_opts = ParseCrossMineOptions(opts);
-  shard::ShardOptions shard_opts;
-  if (!ParseShardOptions(opts, &shard_opts)) return 2;
+  shard::ShardOptions shard_opts = ParseShardOptions(opts);
+  StatusOr<Database> db = LoadDb(argv[2], opts);
+  if (!db.ok()) return 1;
   eval::ClassifierFactory factory;
   const char* display = "CrossMine";
   if (classifier == "crossmine" && WantsSharding(opts)) {
@@ -678,35 +659,26 @@ int Evaluate(int argc, char** argv) {
 int Train(int argc, char** argv) {
   if (argc < 4) return Usage();
   auto opts = ParseOptions(argc, argv, 4);
+  ReportMode report = ParseReportMode(opts);
+  CrossMineOptions model_opts = ParseCrossMineOptions(opts);
+  // Any --shard-* flag routes through the sharded trainer — --shards 1
+  // included, so the byte-identity path is exercisable end to end. The
+  // saved model is the merged model: an ordinary .cmm.
+  bool sharded = WantsSharding(opts);
+  shard::ShardOptions shard_opts =
+      sharded ? ParseShardOptions(opts) : shard::ShardOptions{};
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
-  ReportMode report;
-  if (!ParseReportMode(opts, &report)) return 2;
-  CrossMineOptions model_opts = ParseCrossMineOptions(opts);
   std::vector<TupleId> all;
   for (TupleId t = 0; t < db->target_relation().num_tuples(); ++t) {
     all.push_back(t);
   }
-
-  // Any --shard-* flag routes through the sharded trainer — --shards 1
-  // included, so the byte-identity path is exercisable end to end. The
-  // saved model is the merged (rescore) model: an ordinary .cmm.
-  bool sharded = WantsSharding(opts);
-  shard::ShardOptions shard_opts;
-  if (sharded && !ParseShardOptions(opts, &shard_opts)) return 2;
   if (sharded && shard_opts.exec == shard::ShardExecMode::kProcess) {
     if (shard_opts.supervisor.run_dir.empty()) {
       shard_opts.supervisor.run_dir = std::string(argv[3]) + ".shardrun";
     }
     // SIGINT/SIGTERM must drain worker processes, not orphan them.
     shard_opts.supervisor.shutdown = ShutdownNotifier::Install();
-  }
-  if (sharded && shard_opts.merge == shard::MergeMode::kVote) {
-    std::fprintf(stderr,
-                 "--shard-merge vote keeps one model per shard and cannot "
-                 "be saved as a single model file; use it with `evaluate`, "
-                 "or train with --shard-merge rescore\n");
-    return 2;
   }
   shard::ShardedClassifier sharded_model(model_opts, shard_opts);
   CrossMineClassifier model(model_opts);
@@ -749,6 +721,8 @@ int Train(int argc, char** argv) {
 int Predict(int argc, char** argv) {
   if (argc < 4) return Usage();
   auto opts = ParseOptions(argc, argv, 4);
+  ReportMode report = ParseReportMode(opts);
+  PredictionMode mode = ParseCrossMineOptions(opts).prediction_mode;
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
   StatusOr<CrossMineClassifier> model = LoadModel(*db, argv[3]);
@@ -757,9 +731,7 @@ int Predict(int argc, char** argv) {
                  model.status().ToString().c_str());
     return 1;
   }
-  ReportMode report;
-  if (!ParseReportMode(opts, &report)) return 2;
-  model->set_prediction_mode(ParseCrossMineOptions(opts).prediction_mode);
+  model->set_prediction_mode(mode);
   std::vector<TupleId> all;
   for (TupleId t = 0; t < db->target_relation().num_tuples(); ++t) {
     all.push_back(t);
@@ -837,16 +809,21 @@ int Serve(int argc, char** argv) {
     ++first_opt;
   }
   auto opts = ParseOptions(argc, argv, first_opt);
-  StatusOr<Database> db = LoadDb(argv[2], opts);
-  if (!db.ok()) return 1;
-  ReportMode report;
-  if (!ParseReportMode(opts, &report)) return 2;
-
+  ReportMode report = ParseReportMode(opts);
   serve::ServerOptions server_opts;
   server_opts.threads = static_cast<int>(OptInt(opts, "threads", 1));
   server_opts.max_queue = static_cast<int>(OptInt(opts, "max-queue", 256));
   server_opts.batch_size = static_cast<int>(OptInt(opts, "batch-size", 32));
   server_opts.default_deadline_ms = OptInt(opts, "deadline-ms", 0);
+  serve::TcpOptions tcp_opts;
+  tcp_opts.idle_timeout_ms =
+      static_cast<int>(OptInt(opts, "idle-timeout-ms", 0));
+  tcp_opts.max_connections =
+      static_cast<int>(OptInt(opts, "max-connections", 0));
+  int port = static_cast<int>(OptInt(opts, "port", 0));
+
+  StatusOr<Database> db = LoadDb(argv[2], opts);
+  if (!db.ok()) return 1;
   serve::PredictionServer server(&*db, server_opts);
 
   for (int i = 3; i < first_opt; ++i) {
@@ -875,13 +852,8 @@ int Serve(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  serve::TcpOptions tcp_opts;
-  tcp_opts.idle_timeout_ms =
-      static_cast<int>(OptInt(opts, "idle-timeout-ms", 0));
-  tcp_opts.max_connections =
-      static_cast<int>(OptInt(opts, "max-connections", 0));
   serve::TcpServer tcp(&server, tcp_opts);
-  st = tcp.Listen(static_cast<int>(OptInt(opts, "port", 0)));
+  st = tcp.Listen(port);
   if (!st.ok()) {
     std::fprintf(stderr, "listen failed: %s\n", st.ToString().c_str());
     return 1;
