@@ -262,32 +262,38 @@ std::vector<ClassId> FoilClassifier::Predict(
     const Database& db, const std::vector<TupleId>& ids) const {
   ScopedMetricTimer wall(metrics_, "predict.wall_seconds");
   TouchStandardPredictMetrics(metrics_);
-  TupleId num_targets = db.target_relation().num_tuples();
-  std::vector<uint8_t> query(num_targets, 0);
-  for (TupleId id : ids) query[id] = 1;
+  // Clauses are evaluated over the distinct ids in ascending order; the
+  // answers map back to the caller's order.
+  std::vector<TupleId> query = ids;
+  std::sort(query.begin(), query.end());
+  query.erase(std::unique(query.begin(), query.end()), query.end());
 
-  std::vector<double> best_accuracy(num_targets, -1.0);
-  std::vector<ClassId> best_class(num_targets, default_class_);
+  std::vector<double> best_accuracy(query.size(), -1.0);
+  std::vector<ClassId> best_class(query.size(), default_class_);
+  uint64_t pairs = 0;
   for (const Clause& clause : clauses_) {
-    std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, query);
-    for (TupleId t = 0; t < num_targets; ++t) {
-      if (mask[t] && clause.accuracy > best_accuracy[t]) {
-        best_accuracy[t] = clause.accuracy;
-        best_class[t] = clause.predicted_class;
+    std::vector<uint8_t> flags = EvaluateClause(db, clause, query, &pairs);
+    for (size_t i = 0; i < query.size(); ++i) {
+      if (flags[i] && clause.accuracy > best_accuracy[i]) {
+        best_accuracy[i] = clause.accuracy;
+        best_class[i] = clause.predicted_class;
       }
     }
   }
   std::vector<ClassId> out;
   out.reserve(ids.size());
-  for (TupleId id : ids) out.push_back(best_class[id]);
+  uint64_t fallbacks = 0;
+  for (TupleId id : ids) {
+    size_t i = static_cast<size_t>(
+        std::lower_bound(query.begin(), query.end(), id) - query.begin());
+    out.push_back(best_class[i]);
+    if (best_accuracy[i] < 0.0) ++fallbacks;
+  }
   if (metrics_ != nullptr) {
     metrics_->counter("predict.tuples")->Add(ids.size());
     metrics_->counter("predict.clauses_evaluated")
         ->Add(clauses_.size() * ids.size());
-    uint64_t fallbacks = 0;
-    for (TupleId id : ids) {
-      if (best_accuracy[id] < 0.0) ++fallbacks;
-    }
+    metrics_->counter("predict.propagated_pairs")->Add(pairs);
     metrics_->counter("predict.default_fallbacks")->Add(fallbacks);
   }
   return out;

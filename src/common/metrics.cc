@@ -126,6 +126,7 @@ void TouchStandardPredictMetrics(MetricsRegistry* registry) {
   registry->timer("predict.wall_seconds");
   registry->counter("predict.tuples");
   registry->counter("predict.clauses_evaluated");
+  registry->counter("predict.propagated_pairs");
   registry->counter("predict.default_fallbacks");
 }
 

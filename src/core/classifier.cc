@@ -105,12 +105,16 @@ Status CrossMineClassifier::Train(const Database& db,
   // population it was built from.
   if (options_.reestimate_accuracy_on_training_set) {
     ScopedMetricTimer reestimate(metrics_, "train.phase.reestimation_seconds");
+    std::vector<TupleId> train_list;  // train_ids, sorted and distinct
+    for (TupleId t = 0; t < num_targets; ++t) {
+      if (in_train[t]) train_list.push_back(t);
+    }
     for (Clause& clause : clauses_) {
-      std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, in_train);
+      std::vector<uint8_t> flags = EvaluateClause(db, clause, train_list);
       uint32_t sup_pos = 0, sup_neg = 0;
-      for (TupleId t = 0; t < num_targets; ++t) {
-        if (!mask[t]) continue;
-        if (db.labels()[t] == clause.predicted_class) {
+      for (size_t i = 0; i < train_list.size(); ++i) {
+        if (!flags[i]) continue;
+        if (db.labels()[train_list[i]] == clause.predicted_class) {
           ++sup_pos;
         } else {
           ++sup_neg;
@@ -226,118 +230,151 @@ void CrossMineClassifier::TrainOneClass(const Database& db, ClassId cls,
   }
 }
 
+namespace {
+
+/// Records one prediction call into `metrics`: `satisfied_counts` holds the
+/// satisfied-clause count of every predicted tuple (input order, repeats
+/// included), `propagated_pairs` the frontier work of the evaluation.
+void RecordPredictMetrics(MetricsRegistry* metrics, size_t num_clauses,
+                          const std::vector<uint32_t>& satisfied_counts,
+                          uint64_t propagated_pairs) {
+  if (metrics == nullptr) return;
+  metrics->counter("predict.tuples")->Add(satisfied_counts.size());
+  metrics->counter("predict.clauses_evaluated")
+      ->Add(num_clauses * satisfied_counts.size());
+  metrics->counter("predict.propagated_pairs")->Add(propagated_pairs);
+  uint64_t fallbacks = 0;
+  std::array<uint64_t, 9> hist{};  // 0..7 satisfied clauses, then 8+
+  for (uint32_t satisfied : satisfied_counts) {
+    if (satisfied == 0) ++fallbacks;
+    ++hist[std::min<uint32_t>(satisfied, 8)];
+  }
+  metrics->counter("predict.default_fallbacks")->Add(fallbacks);
+  for (size_t b = 0; b < hist.size(); ++b) {
+    if (hist[b] == 0) continue;
+    metrics
+        ->counter(b < 8 ? StrFormat("predict.satisfied.%zu", b)
+                        : std::string("predict.satisfied.8plus"))
+        ->Add(hist[b]);
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<int>> CrossMineClassifier::SatisfiedClauses(
+    const Database& db, const std::vector<TupleId>& query, bool first_only,
+    uint64_t* propagated_pairs) const {
+  std::vector<std::vector<int>> satisfied(query.size());
+  // The query entries still evaluated: their positions and ids.
+  std::vector<uint32_t> open_pos(query.size());
+  for (uint32_t pos = 0; pos < open_pos.size(); ++pos) open_pos[pos] = pos;
+  std::vector<TupleId> open_ids = query;
+  for (size_t i = 0; i < clauses_.size() && !open_ids.empty(); ++i) {
+    std::vector<uint8_t> flags =
+        EvaluateClause(db, clauses_[i], open_ids, propagated_pairs);
+    size_t kept = 0;
+    for (size_t k = 0; k < open_ids.size(); ++k) {
+      if (flags[k]) {
+        satisfied[open_pos[k]].push_back(static_cast<int>(i));
+        if (first_only) continue;
+      }
+      open_pos[kept] = open_pos[k];
+      open_ids[kept] = open_ids[k];
+      ++kept;
+    }
+    open_pos.resize(kept);
+    open_ids.resize(kept);
+  }
+  return satisfied;
+}
+
+CrossMineClassifier::Explanation CrossMineClassifier::Combine(
+    std::vector<int> satisfied) const {
+  Explanation out;
+  out.predicted = default_class_;
+  out.satisfied = std::move(satisfied);
+  if (out.satisfied.empty()) return out;
+  // The most accurate satisfied clause among those of class `cls` (any
+  // class when `cls` < 0); the first one on ties.
+  auto most_accurate = [this, &out](ClassId cls) {
+    int best_index = -1;
+    double best = -1.0;
+    for (int i : out.satisfied) {
+      const Clause& clause = clauses_[static_cast<size_t>(i)];
+      if (cls >= 0 && clause.predicted_class != cls) continue;
+      if (clause.accuracy > best) {
+        best = clause.accuracy;
+        best_index = i;
+      }
+    }
+    return best_index;
+  };
+  switch (options_.prediction_mode) {
+    case PredictionMode::kBestClause:
+      // §5.3: the most accurate satisfied clause wins.
+      out.clause_index = most_accurate(-1);
+      break;
+    case PredictionMode::kDecisionList:
+      // First satisfied clause in learning order wins.
+      out.clause_index = out.satisfied.front();
+      break;
+    case PredictionMode::kWeightedVote: {
+      // Satisfied clauses vote with their edge over chance; the deciding
+      // clause is the most accurate one of the winning class.
+      double chance = 1.0 / std::max(1, num_classes_);
+      std::vector<double> votes(static_cast<size_t>(std::max(1, num_classes_)),
+                                0.0);
+      for (int i : out.satisfied) {
+        const Clause& clause = clauses_[static_cast<size_t>(i)];
+        votes[static_cast<size_t>(clause.predicted_class)] +=
+            std::max(0.0, clause.accuracy - chance);
+      }
+      out.predicted = static_cast<ClassId>(
+          std::max_element(votes.begin(), votes.end()) - votes.begin());
+      out.clause_index = most_accurate(out.predicted);
+      return out;
+    }
+  }
+  out.predicted =
+      clauses_[static_cast<size_t>(out.clause_index)].predicted_class;
+  return out;
+}
+
 std::vector<ClassId> CrossMineClassifier::Predict(
     const Database& db, const std::vector<TupleId>& ids) const {
   ScopedMetricTimer wall(metrics_, "predict.wall_seconds");
   TouchStandardPredictMetrics(metrics_);
-  TupleId num_targets = db.target_relation().num_tuples();
-  std::vector<uint8_t> query(num_targets, 0);
-  for (TupleId id : ids) {
-    CM_CHECK(id < num_targets);
-    query[id] = 1;
-  }
+  // Clauses are evaluated over the distinct ids in ascending order; the
+  // answers map back to the caller's order (repeats included).
+  std::vector<TupleId> query = ids;
+  std::sort(query.begin(), query.end());
+  query.erase(std::unique(query.begin(), query.end()), query.end());
+  CM_CHECK(query.empty() ||
+           query.back() < db.target_relation().num_tuples());
 
-  // Per-target satisfied-clause counts, tracked only when a metrics
-  // registry is attached (for the satisfied-clause histogram and the
-  // default-class fallback count). Never feeds back into `winner`.
-  std::vector<uint32_t> sat_count;
-  if (metrics_ != nullptr) sat_count.assign(num_targets, 0);
-  auto track = [&sat_count](const std::vector<uint8_t>& mask) {
-    if (sat_count.empty()) return;
-    for (TupleId t = 0; t < mask.size(); ++t) {
-      if (mask[t]) ++sat_count[t];
-    }
-  };
-
-  std::vector<ClassId> winner(num_targets, default_class_);
-  switch (options_.prediction_mode) {
-    case PredictionMode::kBestClause: {
-      // §5.3: the most accurate satisfied clause wins.
-      std::vector<double> best_accuracy(num_targets, -1.0);
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, query);
-        track(mask);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (mask[t] && clause.accuracy > best_accuracy[t]) {
-            best_accuracy[t] = clause.accuracy;
-            winner[t] = clause.predicted_class;
-          }
-        }
-      }
-      break;
-    }
-    case PredictionMode::kWeightedVote: {
-      // Satisfied clauses vote with their edge over chance.
-      double chance = 1.0 / std::max(1, num_classes_);
-      std::vector<double> votes(
-          static_cast<size_t>(num_targets) *
-              static_cast<size_t>(std::max(1, num_classes_)),
-          0.0);
-      std::vector<uint8_t> any(num_targets, 0);
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, query);
-        track(mask);
-        double weight = std::max(0.0, clause.accuracy - chance);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (!mask[t]) continue;
-          any[t] = 1;
-          votes[static_cast<size_t>(t) *
-                    static_cast<size_t>(num_classes_) +
-                static_cast<size_t>(clause.predicted_class)] += weight;
-        }
-      }
-      for (TupleId t = 0; t < num_targets; ++t) {
-        if (!any[t]) continue;
-        const double* row = &votes[static_cast<size_t>(t) *
-                                   static_cast<size_t>(num_classes_)];
-        winner[t] = static_cast<ClassId>(
-            std::max_element(row, row + num_classes_) - row);
-      }
-      break;
-    }
-    case PredictionMode::kDecisionList: {
-      // First satisfied clause in learning order wins. (The tracked count
-      // is 0/1 here: later clauses only see still-undecided tuples.)
-      std::vector<uint8_t> undecided = query;
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask =
-            ClauseSatisfiedMask(db, clause, undecided);
-        track(mask);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (mask[t]) {
-            winner[t] = clause.predicted_class;
-            undecided[t] = 0;
-          }
-        }
-      }
-      break;
-    }
-  }
-
-  if (metrics_ != nullptr) {
-    metrics_->counter("predict.tuples")->Add(ids.size());
-    metrics_->counter("predict.clauses_evaluated")
-        ->Add(clauses_.size() * ids.size());
-    uint64_t fallbacks = 0;
-    std::array<uint64_t, 9> hist{};  // 0..7 satisfied clauses, then 8+
-    for (TupleId id : ids) {
-      uint32_t satisfied = sat_count[id];
-      if (satisfied == 0) ++fallbacks;
-      ++hist[std::min<uint32_t>(satisfied, 8)];
-    }
-    metrics_->counter("predict.default_fallbacks")->Add(fallbacks);
-    for (size_t b = 0; b < hist.size(); ++b) {
-      if (hist[b] == 0) continue;
-      metrics_
-          ->counter(b < 8 ? StrFormat("predict.satisfied.%zu", b)
-                          : std::string("predict.satisfied.8plus"))
-          ->Add(hist[b]);
-    }
+  uint64_t pairs = 0;
+  std::vector<std::vector<int>> satisfied = SatisfiedClauses(
+      db, query,
+      /*first_only=*/options_.prediction_mode == PredictionMode::kDecisionList,
+      &pairs);
+  std::vector<uint32_t> counts(query.size());
+  std::vector<ClassId> decided(query.size());
+  for (size_t pos = 0; pos < query.size(); ++pos) {
+    counts[pos] = static_cast<uint32_t>(satisfied[pos].size());
+    decided[pos] = Combine(std::move(satisfied[pos])).predicted;
   }
 
   std::vector<ClassId> out;
+  std::vector<uint32_t> input_counts;
   out.reserve(ids.size());
-  for (TupleId id : ids) out.push_back(winner[id]);
+  input_counts.reserve(ids.size());
+  for (TupleId id : ids) {
+    size_t pos = static_cast<size_t>(
+        std::lower_bound(query.begin(), query.end(), id) - query.begin());
+    out.push_back(decided[pos]);
+    input_counts.push_back(counts[pos]);
+  }
+  RecordPredictMetrics(metrics_, clauses_.size(), input_counts, pairs);
   return out;
 }
 
@@ -347,35 +384,15 @@ ClassId CrossMineClassifier::PredictOne(const Database& db, TupleId id) const {
 
 CrossMineClassifier::Explanation CrossMineClassifier::Explain(
     const Database& db, TupleId id) const {
-  TupleId num_targets = db.target_relation().num_tuples();
-  CM_CHECK(id < num_targets);
-  std::vector<uint8_t> query(num_targets, 0);
-  query[id] = 1;
-
-  Explanation out;
-  out.predicted = PredictOne(db, id);
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    if (ClauseSatisfiedMask(db, clauses_[i], query)[id]) {
-      out.satisfied.push_back(static_cast<int>(i));
-    }
-  }
-  // Deciding clause: among satisfied clauses of the winning class, the one
-  // the active mode would credit. For kDecisionList that is the first;
-  // otherwise the most accurate.
-  double best = -1.0;
-  for (int i : out.satisfied) {
-    const Clause& clause = clauses_[static_cast<size_t>(i)];
-    if (clause.predicted_class != out.predicted) continue;
-    if (options_.prediction_mode == PredictionMode::kDecisionList) {
-      out.clause_index = i;
-      break;
-    }
-    if (clause.accuracy > best) {
-      best = clause.accuracy;
-      out.clause_index = i;
-    }
-  }
-  return out;
+  ScopedMetricTimer wall(metrics_, "predict.wall_seconds");
+  TouchStandardPredictMetrics(metrics_);
+  CM_CHECK(id < db.target_relation().num_tuples());
+  uint64_t pairs = 0;
+  std::vector<std::vector<int>> satisfied =
+      SatisfiedClauses(db, {id}, /*first_only=*/false, &pairs);
+  RecordPredictMetrics(metrics_, clauses_.size(),
+                       {static_cast<uint32_t>(satisfied[0].size())}, pairs);
+  return Combine(std::move(satisfied[0]));
 }
 
 std::string CrossMineClassifier::ToString(const Database& db) const {

@@ -110,6 +110,18 @@ class CrossMineClassifier : public RelationalClassifier {
   /// deterministically merged clause set through the same hook.
   friend class shard::ShardedClassifier;
 
+  /// The indices (model order) of the clauses each entry of `query`
+  /// (sorted, distinct) satisfies. With `first_only` an entry leaves the
+  /// evaluation at its first satisfied clause — all the decision list needs.
+  std::vector<std::vector<int>> SatisfiedClauses(
+      const Database& db, const std::vector<TupleId>& query, bool first_only,
+      uint64_t* propagated_pairs) const;
+
+  /// The prediction-mode combine step `Predict` and `Explain` share: the
+  /// class and deciding clause for one tuple's satisfied clauses (taken as
+  /// `Explanation::satisfied`).
+  Explanation Combine(std::vector<int> satisfied) const;
+
   void TrainOneClass(const Database& db, ClassId cls,
                      const std::vector<uint8_t>& positive,
                      const std::vector<uint8_t>& in_train, uint64_t seed,

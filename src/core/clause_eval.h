@@ -9,16 +9,41 @@
 
 namespace crossmine {
 
-/// Determines which target tuples satisfy a clause (§5.3): the IDs of all
-/// query tuples are propagated along the prop-path of each literal in order,
-/// and IDs failing a literal's constraint are pruned. Returns a 0/1 mask
-/// parallel to the target relation; tuples outside `query_mask` are 0.
+/// Determines which of the target tuples `ids` satisfy a clause (§5.3): each
+/// query ID is propagated along the prop-path of every literal in order, and
+/// IDs failing a literal's constraint are pruned. `ids` must be sorted
+/// ascending without duplicates; the result holds one 0/1 flag per entry of
+/// `ids`, in the same order.
 ///
-/// This is the same machinery the trainer uses to remove covered examples,
-/// so training and prediction semantics cannot diverge.
-std::vector<uint8_t> ClauseSatisfiedMask(const Database& db,
-                                         const Clause& clause,
-                                         const std::vector<uint8_t>& query_mask);
+/// Each clause node holds the (tuple, position-in-`ids`) pairs reachable
+/// from the live query IDs, sorted by tuple then position:
+///  * a hop probes the destination's `AttrIndex` with each source tuple's
+///    join value (NULL never matches) and emits posting × positions;
+///  * a plain constraint drops the node's pairs whose tuple fails it (the
+///    literal binds the tuples onward hops start from) and satisfies the
+///    positions it keeps;
+///  * an aggregation folds count / sum per position over the node's pairs
+///    in ascending tuple order, the order the trainer's `ApplyConstraint`
+///    sums in, so thresholds compare bit-identical values.
+/// A position that fails a literal drops out of every node. The cost of a
+/// clause is therefore O(reachable pairs · log) — independent of relation
+/// width — which is what keeps single-ID serving flat as the database grows.
+///
+/// This evaluator shares no propagation code with the trainer's
+/// `PropagateIds` / `ApplyConstraint` machinery (only the per-tuple and
+/// per-aggregate constraint tests), so three referees hold the two to the
+/// same semantics: `clause_eval_test`'s trainer-coverage check (learned clauses
+/// replayed through the trainer's `ApplyConstraint`), the golden models
+/// (whose stored supports come from the §5.3 re-estimation through this
+/// function), and the per-ID `std::set` oracle of `predict_referee_test`.
+///
+/// `propagated_pairs` (optional) is incremented by the number of pairs the
+/// hops materialize — the frontier work behind the `predict.propagated_pairs`
+/// metric. It is additive over IDs, so any partition of a query counts the
+/// same total.
+std::vector<uint8_t> EvaluateClause(const Database& db, const Clause& clause,
+                                    const std::vector<TupleId>& ids,
+                                    uint64_t* propagated_pairs = nullptr);
 
 }  // namespace crossmine
 

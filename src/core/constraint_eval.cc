@@ -19,13 +19,25 @@ bool TupleSatisfies(const Relation& rel, TupleId t, const Constraint& c) {
   return v == c.category;
 }
 
-namespace {
-
-bool AggSatisfies(const Constraint& c, double value) {
+bool AggregateSatisfies(const Constraint& c, uint32_t count, double sum) {
+  if (count == 0) return false;
+  double value = 0;
+  switch (c.agg) {
+    case AggOp::kCount:
+      value = static_cast<double>(count);
+      break;
+    case AggOp::kSum:
+      value = sum;
+      break;
+    case AggOp::kAvg:
+      value = sum / count;
+      break;
+    case AggOp::kNone:
+      CM_CHECK(false);
+      break;
+  }
   return c.cmp == CmpOp::kLe ? value <= c.threshold : value >= c.threshold;
 }
-
-}  // namespace
 
 void ApplyConstraint(const Relation& rel, const Constraint& c,
                      const std::vector<uint8_t>& alive, IdSetStore* idsets,
@@ -85,24 +97,9 @@ void ApplyConstraint(const Relation& rel, const Constraint& c,
     });
   }
   for (size_t id = 0; id < num_targets; ++id) {
-    if (count[id] == 0) continue;
-    double value = 0;
-    switch (c.agg) {
-      case AggOp::kCount:
-        value = static_cast<double>(count[id]);
-        break;
-      case AggOp::kSum:
-        value = sum[id];
-        break;
-      case AggOp::kAvg:
-        value = sum[id] / count[id];
-        break;
-      case AggOp::kNone:
-        CM_CHECK(false);
-        value = 0;
-        break;
+    if (AggregateSatisfies(c, count[id], sum.empty() ? 0.0 : sum[id])) {
+      (*satisfied)[id] = 1;
     }
-    if (AggSatisfies(c, value)) (*satisfied)[id] = 1;
   }
 }
 

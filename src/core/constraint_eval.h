@@ -13,6 +13,11 @@ namespace crossmine {
 /// True iff tuple `t` of `rel` meets the (non-aggregation) constraint.
 bool TupleSatisfies(const Relation& rel, TupleId t, const Constraint& c);
 
+/// True iff an aggregation constraint holds for a target whose joinable
+/// tuples number `count` with attribute total `sum` (ignored for kCount).
+/// A target with no joinable tuple never satisfies an aggregation.
+bool AggregateSatisfies(const Constraint& c, uint32_t count, double sum);
+
 /// Applies a chosen constraint to a clause node that has idsets attached:
 ///
 ///  * For categorical / numerical constraints, the satisfying target set is

@@ -5,6 +5,7 @@
 namespace crossmine {
 
 void IdSetStore::Reset(uint32_t num_sets, TupleId universe) {
+  CM_CHECK(universe < (TupleId{1} << 31));  // Entry::count is 31 bits wide
   entries_.assign(num_sets, Entry{});
   pool_.clear();
   words_.clear();

@@ -202,12 +202,16 @@ class IdSetStore {
   }
 
  private:
+  /// 8 bytes: stores keep one descriptor per destination tuple, so the
+  /// descriptor width sets training's resident footprint. The cardinality
+  /// fits 31 bits because the universe does (checked in `Reset`).
   struct Entry {
     enum Kind : uint8_t { kSparse = 0, kBitmap = 1 };
-    uint32_t offset = 0;  ///< into pool_ (sparse) or words_ (bitmap)
-    uint32_t count = 0;   ///< cardinality; 0 == empty set
-    uint8_t kind = kSparse;
+    uint32_t offset = 0;     ///< into pool_ (sparse) or words_ (bitmap)
+    uint32_t count : 31 = 0;  ///< cardinality; 0 == empty set
+    uint32_t kind : 1 = kSparse;
   };
+  static_assert(sizeof(Entry) == 8);
 
   /// Appends a bitmap for `n` sorted ids and returns its word offset.
   uint32_t AppendBitmap(const TupleId* ids, uint32_t n);

@@ -242,21 +242,26 @@ Status ShardedClassifier::Train(const Database& db,
   // With one shard this replays the shard's own build decisions exactly —
   // every clause re-covers precisely the positives its builder removed —
   // so the merge at K=1 is byte-identical to unsharded training.
+  std::vector<TupleId> score_ids;  // score_mask as an ascending id list
+  for (TupleId t = 0; t < num_targets; ++t) {
+    if (score_mask[t]) score_ids.push_back(t);
+  }
   std::vector<Clause> merged_clauses;
   for (ClassId cls = 0; cls < num_classes_; ++cls) {
-    std::vector<uint8_t> uncovered(num_targets, 0);
+    // Parallel to score_ids: still-uncovered positives of `cls`.
+    std::vector<uint8_t> uncovered(score_ids.size(), 0);
     size_t uncovered_count = 0;
-    for (TupleId t = 0; t < num_targets; ++t) {
-      if (score_mask[t] && db.labels()[t] == cls) {
-        uncovered[t] = 1;
+    for (size_t i = 0; i < score_ids.size(); ++i) {
+      if (db.labels()[score_ids[i]] == cls) {
+        uncovered[i] = 1;
         ++uncovered_count;
       }
     }
     size_t initial = uncovered_count;
     int kept = 0;
     bool open = initial > 0;
-    for (size_t i = 0; open && i < trained.size(); ++i) {
-      for (const Clause& clause : trained[i].clauses()) {
+    for (size_t s = 0; open && s < trained.size(); ++s) {
+      for (const Clause& clause : trained[s].clauses()) {
         if (clause.predicted_class != cls) continue;
         if (static_cast<double>(uncovered_count) <=
                 base_.min_pos_fraction_left * static_cast<double>(initial) ||
@@ -264,18 +269,18 @@ Status ShardedClassifier::Train(const Database& db,
           open = false;
           break;
         }
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, score_mask);
+        std::vector<uint8_t> flags = EvaluateClause(db, clause, score_ids);
         uint32_t newly = 0;
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (uncovered[t] && mask[t]) ++newly;
+        for (size_t i = 0; i < score_ids.size(); ++i) {
+          if (uncovered[i] && flags[i]) ++newly;
         }
         if (newly == 0) continue;  // redundant across shards — drop
         Clause out = clause;
         if (base_.reestimate_accuracy_on_training_set) {
           uint64_t sup_pos = 0, sup_neg = 0;
-          for (TupleId t = 0; t < num_targets; ++t) {
-            if (!mask[t]) continue;
-            if (db.labels()[t] == cls) {
+          for (size_t i = 0; i < score_ids.size(); ++i) {
+            if (!flags[i]) continue;
+            if (db.labels()[score_ids[i]] == cls) {
               ++sup_pos;
             } else {
               ++sup_neg;
@@ -286,9 +291,9 @@ Status ShardedClassifier::Train(const Database& db,
           out.accuracy = LaplaceAccuracy(out.sup_pos, out.sup_neg,
                                          num_classes_);
         }
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (uncovered[t] && mask[t]) {
-            uncovered[t] = 0;
+        for (size_t i = 0; i < score_ids.size(); ++i) {
+          if (uncovered[i] && flags[i]) {
+            uncovered[i] = 0;
             --uncovered_count;
           }
         }

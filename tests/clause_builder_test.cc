@@ -90,7 +90,7 @@ TEST(ClauseBuilderTest, FinalAliveConsistentWithApplier) {
   ClauseBuilder builder(&db, &s.positive, &opts);
   std::vector<uint8_t> initial = s.alive;
   Clause clause = builder.Build(s.alive);
-  EXPECT_EQ(builder.final_alive(), ClauseSatisfiedMask(db, clause, initial));
+  EXPECT_EQ(builder.final_alive(), testing::SatisfiedMask(db, clause, initial));
 }
 
 TEST(ClauseBuilderTest, RestrictiveFanoutLimitsDegradeGracefully) {

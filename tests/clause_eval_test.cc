@@ -12,6 +12,7 @@ using testing::BruteForceClauseSatisfied;
 using testing::Fig2Database;
 using testing::MakeFig2Database;
 using testing::MakeRandomDatabase;
+using testing::SatisfiedMask;
 
 int32_t FindEdgeId(const Database& db, RelId from, AttrId from_attr,
                    RelId to) {
@@ -42,7 +43,7 @@ TEST(ClauseEvalTest, PaperFig2ClauseCoverage) {
   // monthly]" is satisfied by loans 1, 2, 4, 5 (ids 0, 1, 3, 4).
   Fig2Database f = MakeFig2Database();
   std::vector<uint8_t> all(5, 1);
-  std::vector<uint8_t> mask = ClauseSatisfiedMask(f.db, MonthlyClause(f), all);
+  std::vector<uint8_t> mask = SatisfiedMask(f.db, MonthlyClause(f), all);
   EXPECT_EQ(mask, (std::vector<uint8_t>{1, 1, 0, 1, 1}));
 }
 
@@ -50,7 +51,7 @@ TEST(ClauseEvalTest, QueryMaskRestrictsEvaluation) {
   Fig2Database f = MakeFig2Database();
   std::vector<uint8_t> query{0, 1, 1, 0, 0};
   std::vector<uint8_t> mask =
-      ClauseSatisfiedMask(f.db, MonthlyClause(f), query);
+      SatisfiedMask(f.db, MonthlyClause(f), query);
   EXPECT_EQ(mask, (std::vector<uint8_t>{0, 1, 0, 0, 0}));
 }
 
@@ -58,7 +59,7 @@ TEST(ClauseEvalTest, EmptyClauseSatisfiedByAllQueried) {
   Fig2Database f = MakeFig2Database();
   Clause c(f.db.target());
   std::vector<uint8_t> query{1, 0, 1, 0, 1};
-  EXPECT_EQ(ClauseSatisfiedMask(f.db, c, query), query);
+  EXPECT_EQ(SatisfiedMask(f.db, c, query), query);
 }
 
 TEST(ClauseEvalTest, MultiLiteralConjunction) {
@@ -72,7 +73,7 @@ TEST(ClauseEvalTest, MultiLiteralConjunction) {
   lit.constraint.threshold = 12;
   c.Append(f.db, lit);
   std::vector<uint8_t> all(5, 1);
-  EXPECT_EQ(ClauseSatisfiedMask(f.db, c, all),
+  EXPECT_EQ(SatisfiedMask(f.db, c, all),
             (std::vector<uint8_t>{1, 1, 0, 0, 0}));
 }
 
@@ -91,7 +92,7 @@ TEST(ClauseEvalTest, VariableBindingOnSameNode) {
   lit.constraint.threshold = 950101;
   c.Append(f.db, lit);
   std::vector<uint8_t> all(5, 1);
-  EXPECT_EQ(ClauseSatisfiedMask(f.db, c, all),
+  EXPECT_EQ(SatisfiedMask(f.db, c, all),
             (std::vector<uint8_t>{1, 1, 0, 0, 0}));
 }
 
@@ -105,7 +106,7 @@ TEST(ClauseEvalTest, UnsatisfiableClauseEmptyMask) {
   lit.constraint.threshold = 1e9;
   c.Append(f.db, lit);
   std::vector<uint8_t> all(5, 1);
-  EXPECT_EQ(ClauseSatisfiedMask(f.db, c, all),
+  EXPECT_EQ(SatisfiedMask(f.db, c, all),
             (std::vector<uint8_t>{0, 0, 0, 0, 0}));
 }
 
@@ -125,13 +126,14 @@ TEST(ClauseEvalTest, AggregationLiteralInClause) {
   lit.constraint.threshold = 2;
   c.Append(f.db, lit);
   std::vector<uint8_t> all(5, 1);
-  EXPECT_EQ(ClauseSatisfiedMask(f.db, c, all),
+  EXPECT_EQ(SatisfiedMask(f.db, c, all),
             (std::vector<uint8_t>{0, 0, 0, 0, 0}));
 }
 
 TEST(ClauseEvalTest, TrainedModelCoverageConsistentWithPrediction) {
-  // Whatever the trainer reports as covered must match ClauseSatisfiedMask
-  // — they share the applier, but verify from the public API.
+  // Every learned clause must re-cover at least one tuple of its class
+  // through the evaluator, which shares no propagation code with the
+  // trainer.
   Fig2Database f = MakeFig2Database();
   CrossMineOptions opts;
   opts.min_foil_gain = 0.5;
@@ -141,7 +143,7 @@ TEST(ClauseEvalTest, TrainedModelCoverageConsistentWithPrediction) {
   ASSERT_FALSE(model.clauses().empty());
   std::vector<uint8_t> all(5, 1);
   for (const Clause& clause : model.clauses()) {
-    std::vector<uint8_t> mask = ClauseSatisfiedMask(f.db, clause, all);
+    std::vector<uint8_t> mask = SatisfiedMask(f.db, clause, all);
     uint32_t pos = 0;
     for (TupleId t = 0; t < 5; ++t) {
       if (mask[t] && f.db.labels()[t] == clause.predicted_class) ++pos;
@@ -150,8 +152,9 @@ TEST(ClauseEvalTest, TrainedModelCoverageConsistentWithPrediction) {
   }
 }
 
-// Property test: the production applier agrees with the brute-force
-// oracle on clauses learned from random databases.
+// Trainer-coverage check: the evaluator agrees with a replay of each
+// learned clause through the trainer's constraint applier
+// (`ApplyConstraint`) over brute-force propagation, on random databases.
 class ClauseEvalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ClauseEvalPropertyTest, MatchesBruteForceOracle) {
@@ -167,7 +170,7 @@ TEST_P(ClauseEvalPropertyTest, MatchesBruteForceOracle) {
 
   std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
   for (const Clause& clause : model.clauses()) {
-    EXPECT_EQ(ClauseSatisfiedMask(db, clause, all),
+    EXPECT_EQ(SatisfiedMask(db, clause, all),
               BruteForceClauseSatisfied(db, clause, all))
         << clause.ToString(db);
   }

@@ -15,6 +15,7 @@
 
 #include "baselines/foil.h"
 #include "core/classifier.h"
+#include "datagen/synthetic.h"
 #include "serve/protocol.h"
 #include "test_util.h"
 
@@ -403,6 +404,54 @@ TEST_F(ServeTest, ResponsesIdenticalAcrossThreadAndBatchConfigurations) {
   for (const std::string& line : base) ASSERT_TRUE(IsOk(line)) << line;
   EXPECT_EQ(run(4, 8), base);
   EXPECT_EQ(run(2, 3), base);
+}
+
+TEST(ServeCountersTest, PredictCountersIdenticalAcrossServeThreads) {
+  // The predict.* work counters are inert: how requests spread over
+  // server threads and micro-batches never changes their totals. (A
+  // synthetic database, so the model's clauses actually hop.)
+  datagen::SyntheticConfig cfg;
+  cfg.num_relations = 6;
+  cfg.expected_tuples = 100;
+  cfg.seed = 17;
+  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  std::vector<std::string> requests;
+  for (TupleId t = 0; t < 40; ++t) {
+    requests.push_back("{\"verb\":\"predict\",\"id\":" +
+                       std::to_string(t) + "}");
+    if (t % 8 == 0) {
+      requests.push_back("{\"verb\":\"explain\",\"id\":" +
+                         std::to_string(t) + "}");
+      requests.push_back(
+          "{\"verb\":\"predict_batch\",\"ids\":[9,1,4,1]}");
+    }
+  }
+  auto counters = [&](int threads) {
+    ServerOptions options;
+    options.threads = threads;
+    options.batch_size = 8;
+    PredictionServer server(&*db, options);
+    CM_CHECK(server.AddModel("crossmine", TrainedCrossMine(*db)).ok());
+    CM_CHECK(server.Start().ok());
+    std::vector<std::future<std::string>> futures;
+    for (const std::string& r : requests) {
+      futures.push_back(server.SubmitAsync(r));
+    }
+    for (std::future<std::string>& f : futures) EXPECT_TRUE(IsOk(f.get()));
+    server.Drain();
+    const MetricsSnapshot snap = server.StatsSnapshot();
+    std::vector<double> out;
+    for (const char* key :
+         {"predict.propagated_pairs", "predict.tuples",
+          "predict.clauses_evaluated", "predict.default_fallbacks"}) {
+      out.push_back(snap.at(key));
+    }
+    return out;
+  };
+  const std::vector<double> one = counters(1);
+  EXPECT_GT(one[0], 0.0);
+  EXPECT_EQ(counters(4), one);
 }
 
 TEST_F(ServeTest, MixedLoadUnderConcurrencyAnswersEveryRequest) {

@@ -10,6 +10,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "core/clause_eval.h"
 #include "core/constraint_eval.h"
 #include "core/foil_gain.h"
 #include "core/idset.h"
@@ -29,6 +30,21 @@ inline void ApplyConstraintV(const Relation& rel, const Constraint& c,
       StoreFromIdSets(*idsets, static_cast<TupleId>(satisfied->size()));
   ApplyConstraint(rel, c, alive, &store, satisfied);
   *idsets = IdSetsFromStore(store);
+}
+
+/// `EvaluateClause` over a 0/1 query mask parallel to the target relation,
+/// returned as a mask again (tuples outside the query are 0).
+inline std::vector<uint8_t> SatisfiedMask(const Database& db,
+                                          const Clause& clause,
+                                          const std::vector<uint8_t>& query) {
+  std::vector<TupleId> ids;
+  for (TupleId t = 0; t < query.size(); ++t) {
+    if (query[t]) ids.push_back(t);
+  }
+  std::vector<uint8_t> flags = EvaluateClause(db, clause, ids);
+  std::vector<uint8_t> mask(query.size(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) mask[ids[i]] = flags[i];
+  return mask;
 }
 
 /// The sample database of Fig. 2 / Fig. 4 of the paper:
@@ -116,8 +132,10 @@ inline Fig2Database MakeFig2Database() {
 /// dangle deliberately. `fk_values` (0 = `max_tuples`) bounds the FK value
 /// range: a small range skews fan-in, so propagated idsets grow past the
 /// bitmap threshold and destinations sharing a join value alias one span.
+/// `null_fraction` is the share of FK values set to NULL.
 inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
-                                   int max_tuples = 30, int fk_values = 0) {
+                                   int max_tuples = 30, int fk_values = 0,
+                                   double null_fraction = 0.1) {
   if (fk_values == 0) fk_values = max_tuples;
   Rng rng(seed);
   Database db;
@@ -164,7 +182,7 @@ inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
             break;
           case AttrKind::kForeignKey:
             // May dangle or be NULL — propagation must tolerate both.
-            if (rng.Bernoulli(0.1)) {
+            if (rng.Bernoulli(null_fraction)) {
               rel.SetInt(t, a, kNullValue);
             } else {
               rel.SetInt(t, a, static_cast<int64_t>(rng.Uniform(

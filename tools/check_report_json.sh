@@ -4,7 +4,8 @@
 # TILDE, and validates that every stdout line is one JSON object and that
 # fold lines carry the required schema — per-fold phase timings
 # (propagation, literal search, sampling, re-estimation), propagation-cache
-# hit/refresh/miss counters and per-class clause counts. Malformed flag
+# hit/refresh/miss counters, per-class clause counts and the predict-side
+# frontier counter (predict.propagated_pairs). Malformed flag
 # values must be rejected before any output: exit 2, nothing on stdout, no
 # model file, and a stderr message naming the flag.
 #
@@ -51,6 +52,7 @@ required = [
     "train.clauses_built.class_1",
     "train.wall_seconds",
     "predict.tuples",
+    "predict.propagated_pairs",
     "accuracy",
     "test_size",
 ]
