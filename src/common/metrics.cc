@@ -107,7 +107,7 @@ void TouchStandardTrainMetrics(MetricsRegistry* registry) {
   registry->counter("train.propagation.cache_refreshes");
   registry->counter("train.propagation.cache_misses");
   registry->counter("train.propagation.peak_id_bytes");
-  registry->counter("train.propagation.arena_reuse");
+  registry->counter("train.propagation.pairs");
   registry->counter("train.clauses_built");
   registry->counter("train.literals_scored");
   registry->counter("train.literals_accepted");

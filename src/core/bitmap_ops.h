@@ -3,22 +3,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "relational/types.h"
 
 namespace crossmine {
 
-/// Word-parallel kernels over dense `uint64_t` bitmap spans — the counting
-/// engine shared by the IdSetStore (union / filter / compaction), the
-/// literal search (distinct-target pos/neg counting) and clause application.
+/// Word-parallel kernels over dense `uint64_t` bitmap spans: the dense
+/// posting bitmaps of `AttrIndex` and the node-0 literal count against the
+/// packed alive-class masks.
 ///
 /// Every kernel is a straight-line loop over equal-length word spans with
 /// local accumulators and no early exit, the shape compilers autovectorize
 /// (and turn the per-word popcount into hardware POPCNT where available).
-/// Bits past a bitmap's logical universe must be zero; the kernels preserve
-/// that invariant (AND/OR of zero-padded spans stays zero-padded), so tail
-/// words need no special casing here.
+/// Bits past a bitmap's logical universe must be zero, so tail words need
+/// no special casing here.
 namespace bitmap_ops {
 
 /// popcount(a) over `n` words.
@@ -31,55 +29,13 @@ inline uint64_t Popcount(const uint64_t* a, size_t n) {
 }
 
 /// popcount(a ∧ b) over `n` words. The pos/neg distinct-target count of the
-/// literal search: `a` a value/union bitmap, `b` an alive-class mask.
+/// node-0 literal search: `a` a dense posting, `b` an alive-class mask.
 inline uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   uint64_t total = 0;
   for (size_t i = 0; i < n; ++i) {
     total += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
   }
   return total;
-}
-
-/// popcount(a ∧ ¬b) over `n` words.
-inline uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b,
-                               size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & ~b[i]));
-  }
-  return total;
-}
-
-/// dst ∨= src over `n` words.
-inline void Or(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-/// dst ∧= src over `n` words.
-inline void And(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-/// dst ∧= ¬src over `n` words.
-inline void AndNot(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
-/// dst ∨= src, counting the *newly set* bits that land in `pos_mask` /
-/// `neg_mask` (disjoint class masks). The incremental step of the numerical
-/// sweep: ids already in `dst` were counted by an earlier step.
-inline void OrCountNew(uint64_t* dst, const uint64_t* src,
-                       const uint64_t* pos_mask, const uint64_t* neg_mask,
-                       size_t n, uint32_t* pos_add, uint32_t* neg_add) {
-  uint64_t pos = 0, neg = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t fresh = src[i] & ~dst[i];
-    dst[i] |= src[i];
-    pos += static_cast<uint64_t>(__builtin_popcountll(fresh & pos_mask[i]));
-    neg += static_cast<uint64_t>(__builtin_popcountll(fresh & neg_mask[i]));
-  }
-  *pos_add += static_cast<uint32_t>(pos);
-  *neg_add += static_cast<uint32_t>(neg);
 }
 
 /// Number of words covering `n` bits.
@@ -93,41 +49,6 @@ inline void SetBit(uint64_t* words, TupleId id) {
 /// Tests bit `id` of `words`.
 inline bool TestBit(const uint64_t* words, TupleId id) {
   return (words[id >> 6] >> (id & 63)) & 1;
-}
-
-/// Packs a 0/1 byte mask into bitmap words (`WordsForBits(n)` of them,
-/// fully overwritten; trailing bits zero). Bridges the byte-per-target
-/// `alive` / `positive` masks into kernel operands.
-inline void PackBytes(const uint8_t* bytes, size_t n, uint64_t* words) {
-  size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    uint64_t acc = 0;
-    const uint8_t* b = bytes + w * 64;
-    for (size_t i = 0; i < 64; ++i) {
-      acc |= static_cast<uint64_t>(b[i] != 0) << i;
-    }
-    words[w] = acc;
-  }
-  if (full * 64 < n) {
-    uint64_t acc = 0;
-    for (size_t i = full * 64; i < n; ++i) {
-      acc |= static_cast<uint64_t>(bytes[i] != 0) << (i & 63);
-    }
-    words[full] = acc;
-  }
-}
-
-/// Calls `fn(id)` for every set bit of `words`, ascending.
-template <typename Fn>
-inline void ForEachBit(const uint64_t* words, size_t n, Fn&& fn) {
-  for (size_t w = 0; w < n; ++w) {
-    uint64_t bits = words[w];
-    TupleId base = static_cast<TupleId>(w) * 64;
-    while (bits != 0) {
-      fn(base + static_cast<TupleId>(__builtin_ctzll(bits)));
-      bits &= bits - 1;
-    }
-  }
 }
 
 }  // namespace bitmap_ops

@@ -37,12 +37,12 @@ ClauseBuilder::ClauseBuilder(const Database* db,
     prop_cache_evictions_ =
         metrics_->counter("train.propagation.cache_evictions");
     prop_rejected_ = metrics_->counter("train.propagation.rejected");
+    prop_pairs_ = metrics_->counter("train.propagation.pairs");
     search_rounds_ = metrics_->counter("train.search.rounds");
     search_tasks_ = metrics_->counter("train.search.tasks");
     pool_tasks_ = metrics_->counter("train.pool.tasks");
     literals_accepted_ = metrics_->counter("train.literals_accepted");
     peak_id_bytes_ = metrics_->counter("train.propagation.peak_id_bytes");
-    arena_reuse_ = metrics_->counter("train.propagation.arena_reuse");
     prop_time_ = metrics_->timer("train.phase.propagation_seconds");
     lookahead_time_ = metrics_->timer("train.phase.lookahead_seconds");
   }
@@ -110,8 +110,8 @@ Clause ClauseBuilder::Build(std::vector<uint8_t> alive) {
   WarmIndexes();
 
   // Node 0 = target relation: idset(t) = {t} for every alive target.
-  node_idsets_.clear();
-  node_idsets_.emplace_back().InitIdentity(alive_);
+  node_pairs_.clear();
+  node_pairs_.push_back(IdentityPairs(alive_));
 
   while (clause_.length() < opts_->max_clause_length) {
     if (pos_ == 0) break;
@@ -135,17 +135,17 @@ void ClauseBuilder::Consider(BestChoice* best, const CandidateLiteral& cand,
 }
 
 uint64_t ClauseBuilder::CurrentIdBytes() {
-  uint64_t bytes = 0;
-  for (const IdSetStore& store : node_idsets_) bytes += store.arena_bytes();
+  uint64_t pairs = 0;
+  for (const IdPairs& node : node_pairs_) pairs += node.capacity();
   std::lock_guard<std::mutex> lock(cache_mu_);
   for (const auto& [key, entry] : prop_cache_) {
-    bytes += entry.result->idsets.arena_bytes();
+    pairs += entry.result->pairs.capacity();
   }
-  return bytes;
+  return pairs * sizeof(IdPair);
 }
 
 std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
-    int32_t node, int32_t e, int32_t e2, const IdSetStore& src,
+    int32_t node, int32_t e, int32_t e2, const IdPairs& src,
     const JoinEdge& edge, PropagationScratch* scratch) {
   std::array<int32_t, 3> key{node, e, e2};
   std::shared_ptr<PropagationResult> cached;
@@ -166,8 +166,8 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
       Bump(prop_cache_hits_);
       return cached;
     }
-    // The alive mask only shrank since this result was computed, so an
-    // in-place arena compaction reproduces a fresh `PropagateIds` exactly —
+    // The alive mask only shrank since this result was computed, so
+    // erasing the dead pairs reproduces a fresh `PropagateIds` exactly —
     // including the limit verdicts, which `RefreshPropagation` re-checks.
     Stopwatch refresh_watch;
     bool refreshed =
@@ -176,7 +176,6 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
       prop_time_->AddSeconds(refresh_watch.ElapsedSeconds());
     }
     Bump(prop_cache_refreshes_);
-    Bump(arena_reuse_);  // the compaction reclaimed storage in place
     if (refreshed) return cached;
     Bump(prop_cache_evictions_);
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -196,9 +195,12 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
     prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
   }
   Bump(prop_cache_misses_);
+  Bump(prop_pairs_, fresh->pairs.size());
   if (!fresh->ok) Bump(prop_rejected_);
   if (fresh->ok && opts_->propagation_cache_slots > 0) {
-    uint64_t slots = fresh->idsets.num_sets();
+    // Charged by destination width, not pair count, so what gets cached —
+    // and with it every cache counter — is independent of the frontier.
+    uint64_t slots = db_->relation(edge.to_rel).num_tuples();
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cached_slot_count_ + slots <= opts_->propagation_cache_slots) {
       cached_slot_count_ += slots;
@@ -247,20 +249,20 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     LiteralSearcher& searcher = searchers_[static_cast<size_t>(worker)];
     if (t.edge < 0) {
       // Hop 0: constraint on the active node itself (empty prop-path).
-      // Node 0 is the target relation, whose store stays the identity
-      // (`idset(t) = {t}` iff alive) through every FilterAndCompact.
+      // Node 0 is the target relation, whose pairs stay the identity
+      // (`(t, t)` iff alive) through every refresh.
       const ClauseNode& node = clause_.nodes()[static_cast<size_t>(t.node)];
       scored[i] = searcher.FindBest(node.relation,
-                                    node_idsets_[static_cast<size_t>(t.node)],
-                                    *opts_, /*identity_idsets=*/t.node == 0);
+                                    node_pairs_[static_cast<size_t>(t.node)],
+                                    *opts_, /*identity_pairs=*/t.node == 0);
     } else if (t.edge2 < 0) {
       // Hop 1: one propagation along a join edge leaving the node.
       const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];
       std::shared_ptr<const PropagationResult> p = GetPropagation(
-          t.node, t.edge, -1, node_idsets_[static_cast<size_t>(t.node)], edge,
+          t.node, t.edge, -1, node_pairs_[static_cast<size_t>(t.node)], edge,
           &prop_scratch_[static_cast<size_t>(worker)]);
       hop1[i] = p;
-      if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->idsets, *opts_);
+      if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->pairs, *opts_);
     } else {
       // Hop 2: look-ahead through the parent task's propagation.
       const std::shared_ptr<const PropagationResult>& parent =
@@ -268,10 +270,10 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       if (parent == nullptr || !parent->ok) return;
       const JoinEdge& edge2 = edges[static_cast<size_t>(t.edge2)];
       std::shared_ptr<const PropagationResult> p =
-          GetPropagation(t.node, t.edge, t.edge2, parent->idsets, edge2,
+          GetPropagation(t.node, t.edge, t.edge2, parent->pairs, edge2,
                          &prop_scratch_[static_cast<size_t>(worker)]);
       if (p->ok) {
-        scored[i] = searcher.FindBest(edge2.to_rel, p->idsets, *opts_);
+        scored[i] = searcher.FindBest(edge2.to_rel, p->pairs, *opts_);
       }
     }
   };
@@ -316,7 +318,7 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     if (t.edge2 >= 0) path.push_back(t.edge2);
     Consider(&best, scored[i], t.node, std::move(path));
   }
-  // All tasks have joined: sample the arena footprint at this quiescent
+  // All tasks have joined: sample the pair footprint at this quiescent
   // point. The state here is identical at any thread count, so the peak is
   // thread-count invariant like every other counter.
   if (peak_id_bytes_ != nullptr) peak_id_bytes_->MaxWith(CurrentIdBytes());
@@ -332,11 +334,10 @@ void ClauseBuilder::Append(const BestChoice& choice) {
   lit.gain = choice.cand.gain;
   const ComplexLiteral& added = clause_.Append(*db_, std::move(lit));
 
-  // Materialize idset stores for the nodes the prop-path created, reusing
-  // the propagations the search just scored (cache hits at the current
-  // epoch).
+  // Materialize pairs for the nodes the prop-path created, reusing the
+  // propagations the search just scored (cache hits at the current epoch).
   CM_CHECK(added.edge_path.size() <= 2);
-  const IdSetStore* cur = &node_idsets_[static_cast<size_t>(added.source_node)];
+  const IdPairs* cur = &node_pairs_[static_cast<size_t>(added.source_node)];
   for (size_t h = 0; h < added.edge_path.size(); ++h) {
     int32_t edge_id = added.edge_path[h];
     const JoinEdge& edge = db_->edges()[static_cast<size_t>(edge_id)];
@@ -345,26 +346,22 @@ void ClauseBuilder::Append(const BestChoice& choice) {
         edge, prop_scratch_.empty() ? nullptr : &prop_scratch_[0]);
     // The same propagation succeeded during the search.
     CM_CHECK_MSG(hop->ok, "propagation failed while appending literal");
-    node_idsets_.push_back(hop->idsets);  // copy: the cache keeps its own
-    cur = &node_idsets_.back();
+    node_pairs_.push_back(hop->pairs);  // copy: the cache keeps its own
+    cur = &node_pairs_.back();
   }
 
   // Apply the constraint at the node it targets; shrink the alive set and
-  // refresh every node's idsets ("update IDs on every active relation") —
-  // one in-place compaction per node store.
+  // refresh every node's pairs ("update IDs on every active relation").
   int32_t cnode = added.ConstraintNode();
   const Relation& rel =
       db_->relation(clause_.nodes()[static_cast<size_t>(cnode)].relation);
   ApplyConstraint(rel, added.constraint, alive_,
-                  &node_idsets_[static_cast<size_t>(cnode)], &satisfied_);
+                  &node_pairs_[static_cast<size_t>(cnode)], &satisfied_);
   for (size_t id = 0; id < alive_.size(); ++id) {
     alive_[id] = alive_[id] && satisfied_[id];
   }
   RecountAlive();
-  for (IdSetStore& store : node_idsets_) {
-    store.FilterAndCompact(alive_);
-    Bump(arena_reuse_);
-  }
+  for (IdPairs& node : node_pairs_) DropDeadIds(&node, alive_);
   if (peak_id_bytes_ != nullptr) peak_id_bytes_->MaxWith(CurrentIdBytes());
 }
 

@@ -10,7 +10,7 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "core/idset_store.h"
+#include "core/id_pairs.h"
 #include "core/literal.h"
 #include "core/literal_search.h"
 #include "core/options.h"
@@ -22,9 +22,10 @@ namespace crossmine {
 /// Builds one clause by repeated best-literal search — Algorithm 2
 /// (Find-A-Clause) with Algorithm 3 (Find-Best-Literal) inside.
 ///
-/// The builder maintains, per clause node, the idsets propagated along the
-/// clause's join tree, restricted to the targets still satisfying the
-/// partial clause ("update IDs on every active relation"). Each search step
+/// The builder maintains, per clause node, the (tuple, target id) pairs
+/// propagated along the clause's join tree, restricted to the targets still
+/// satisfying the partial clause ("update IDs on every active relation").
+/// Node 0 holds `(t, t)` for every alive target. Each search step
 /// considers:
 ///   1. constraints on every active node (empty prop-path);
 ///   2. one propagation hop from every active node along every join edge;
@@ -42,12 +43,14 @@ namespace crossmine {
 /// then attribute/value scan order).
 ///
 /// Propagation work is reused across search rounds: each successful
-/// per-(node, edge-path) `PropagationResult` — its idsets arena-backed in
-/// an `IdSetStore` — is cached for the duration of one `Build`. Because
-/// the alive mask only shrinks between literals, later rounds refresh a
-/// cached result with one in-place arena compaction (`RefreshPropagation`)
-/// instead of re-running the join sweep, and `Append` reuses the
-/// propagation the search just scored instead of recomputing it.
+/// per-(node, edge-path) `PropagationResult` is cached for the duration of
+/// one `Build`. Because the alive mask only shrinks between literals, later
+/// rounds refresh a cached result by erasing its dead pairs in place
+/// (`RefreshPropagation`) instead of re-running the join, and `Append`
+/// reuses the propagation the search just scored instead of recomputing it.
+/// Every step — propagation, refresh, literal search, `ApplyConstraint` —
+/// walks pairs, so a round costs what the alive targets reach, not the
+/// width of the relations they reach into.
 ///
 /// One instance builds one clause; construct a new instance per clause.
 class ClauseBuilder {
@@ -94,7 +97,7 @@ class ClauseBuilder {
   struct CachedPropagation {
     std::shared_ptr<PropagationResult> result;
     uint64_t epoch = 0;  ///< search round the result was last filtered for
-    uint64_t slots = 0;  ///< dense destination-tuple count, for the budget
+    uint64_t slots = 0;  ///< destination relation width, for the budget
   };
 
   BestChoice FindBestLiteral();
@@ -106,16 +109,16 @@ class ClauseBuilder {
   /// Returns the propagation along `edge` for the path keyed by
   /// (node, e, e2), serving it from the per-build cache when possible:
   /// a current-round entry is returned as-is, a stale entry is refreshed
-  /// with an in-place arena compaction, and a miss recomputes
-  /// `PropagateIds` from `src` (caching the result while the slot budget
-  /// allows). `scratch` reuses that lane's propagation merge buffers. Safe
-  /// to call from pool tasks: each key is requested by exactly one task per
-  /// round, so only the map itself needs the lock.
+  /// by erasing its dead pairs, and a miss recomputes `PropagateIds` from
+  /// `src` (caching the result while the slot budget allows). `scratch`
+  /// reuses that lane's propagation grouping buffers. Safe to call from
+  /// pool tasks: each key is requested by exactly one task per round, so
+  /// only the map itself needs the lock.
   std::shared_ptr<const PropagationResult> GetPropagation(
-      int32_t node, int32_t e, int32_t e2, const IdSetStore& src,
+      int32_t node, int32_t e, int32_t e2, const IdPairs& src,
       const JoinEdge& edge, PropagationScratch* scratch);
 
-  /// Bytes currently held by idset arenas (clause-node stores + propagation
+  /// Bytes currently held by pair vectors (clause nodes + propagation
   /// cache); sampled into `train.propagation.peak_id_bytes` at the
   /// quiescent points of the build loop (no tasks in flight).
   uint64_t CurrentIdBytes();
@@ -143,18 +146,18 @@ class ClauseBuilder {
   Counter* prop_cache_misses_ = nullptr;
   Counter* prop_cache_evictions_ = nullptr;
   Counter* prop_rejected_ = nullptr;
+  Counter* prop_pairs_ = nullptr;
   Counter* search_rounds_ = nullptr;
   Counter* search_tasks_ = nullptr;
   Counter* pool_tasks_ = nullptr;
   Counter* literals_accepted_ = nullptr;
   Counter* peak_id_bytes_ = nullptr;
-  Counter* arena_reuse_ = nullptr;
   Timer* prop_time_ = nullptr;
   Timer* lookahead_time_ = nullptr;
 
   Clause clause_;
-  /// Propagated idsets per clause node, alive-filtered, arena-backed.
-  std::vector<IdSetStore> node_idsets_;
+  /// Propagated (tuple, target id) pairs per clause node, alive-filtered.
+  std::vector<IdPairs> node_pairs_;
   std::vector<uint8_t> alive_;
   uint32_t pos_ = 0, neg_ = 0;
 

@@ -16,26 +16,25 @@ namespace crossmine {
 /// `ids`, in the same order.
 ///
 /// Each clause node holds the (tuple, position-in-`ids`) pairs reachable
-/// from the live query IDs, sorted by tuple then position:
-///  * a hop probes the destination's `AttrIndex` with each source tuple's
-///    join value (NULL never matches) and emits posting × positions;
-///  * a plain constraint drops the node's pairs whose tuple fails it (the
-///    literal binds the tuples onward hops start from) and satisfies the
-///    positions it keeps;
-///  * an aggregation folds count / sum per position over the node's pairs
-///    in ascending tuple order, the order the trainer's `ApplyConstraint`
-///    sums in, so thresholds compare bit-identical values.
+/// from the live query IDs (`IdPairs`, sorted by tuple then position), and
+/// every step runs on the pair routines training uses, with positions in
+/// place of target ids:
+///  * a hop is `PropagateIds` (one `AttrIndex` probe per source tuple run,
+///    NULL never matches), with no §4.3 limits;
+///  * a literal is `ApplyConstraint`: a plain constraint drops the node's
+///    pairs whose tuple fails it (the literal binds the tuples onward hops
+///    start from) and satisfies the positions it keeps; an aggregation
+///    folds count / sum per position in ascending tuple order, the order
+///    training sums in, so thresholds compare bit-identical values.
 /// A position that fails a literal drops out of every node. The cost of a
 /// clause is therefore O(reachable pairs · log) — independent of relation
 /// width — which is what keeps single-ID serving flat as the database grows.
 ///
-/// This evaluator shares no propagation code with the trainer's
-/// `PropagateIds` / `ApplyConstraint` machinery (only the per-tuple and
-/// per-aggregate constraint tests), so three referees hold the two to the
-/// same semantics: `clause_eval_test`'s trainer-coverage check (learned clauses
-/// replayed through the trainer's `ApplyConstraint`), the golden models
-/// (whose stored supports come from the §5.3 re-estimation through this
-/// function), and the per-ID `std::set` oracle of `predict_referee_test`.
+/// Because training and prediction share these routines, the referees are
+/// the ones that share no code with them: the golden models (whose stored
+/// supports come from the §5.3 re-estimation through this function), the
+/// per-ID `std::set` oracle of `predict_referee_test`, and the nested-loop
+/// oracle of `propagation_oracle_test`.
 ///
 /// `propagated_pairs` (optional) is incremented by the number of pairs the
 /// hops materialize — the frontier work behind the `predict.propagated_pairs`

@@ -40,64 +40,47 @@ bool AggregateSatisfies(const Constraint& c, uint32_t count, double sum) {
 }
 
 void ApplyConstraint(const Relation& rel, const Constraint& c,
-                     const std::vector<uint8_t>& alive, IdSetStore* idsets,
+                     const std::vector<uint8_t>& alive, IdPairs* pairs,
                      std::vector<uint8_t>* satisfied) {
-  CM_CHECK(idsets->num_sets() == rel.num_tuples());
   std::fill(satisfied->begin(), satisfied->end(), 0);
+  IdPairs& p = *pairs;
 
   if (c.agg == AggOp::kNone) {
-    // Word-parallel union of the satisfying tuples' idsets, then one
-    // masked decode. Aliased spans (destinations that shared a join
-    // value during propagation) are ORed once, not per alias.
-    size_t words = bitmap_ops::WordsForBits(satisfied->size());
-    std::vector<uint64_t> acc(words, 0);
-    constexpr uint64_t kNoSpan = ~uint64_t{0};
-    uint64_t last_span = kNoSpan;
-    for (TupleId t = 0; t < rel.num_tuples(); ++t) {
-      if (idsets->empty(t)) continue;
-      if (!TupleSatisfies(rel, t, c)) {
-        idsets->Clear(t);
-        continue;
-      }
-      uint64_t span = idsets->span_key(t);
-      if (span == last_span) continue;
-      last_span = span;
-      if (idsets->IsBitmap(t)) {
-        bitmap_ops::Or(acc.data(), idsets->bitmap_words(t),
-                       idsets->words_per_set());
-      } else {
-        const TupleId* ids = idsets->sparse_ids(t);
-        uint32_t n = idsets->Cardinality(t);
-        for (uint32_t i = 0; i < n; ++i) {
-          bitmap_ops::SetBit(acc.data(), ids[i]);
+    // Bind: keep the runs of satisfying tuples and flag their alive ids.
+    size_t kept = 0;
+    for (size_t lo = 0; lo < p.size();) {
+      const size_t hi = TupleRunEnd(p, lo);
+      if (TupleSatisfies(rel, PairTuple(p[lo]), c)) {
+        for (size_t k = lo; k < hi; ++k) {
+          const uint32_t id = PairId(p[k]);
+          if (alive[id]) (*satisfied)[id] = 1;
+          p[kept++] = p[k];
         }
       }
+      lo = hi;
     }
-    std::vector<uint64_t> alive_words(words);
-    bitmap_ops::PackBytes(alive.data(), alive.size(), alive_words.data());
-    bitmap_ops::And(acc.data(), alive_words.data(), words);
-    bitmap_ops::ForEachBit(acc.data(), words,
-                           [&](TupleId id) { (*satisfied)[id] = 1; });
+    p.resize(kept);
     return;
   }
 
-  // Aggregation constraint: accumulate per-target count / sum over all
-  // joinable tuples, then test the aggregate.
-  size_t num_targets = satisfied->size();
-  std::vector<uint32_t> count(num_targets, 0);
-  std::vector<double> sum;
-  if (c.agg != AggOp::kCount) sum.assign(num_targets, 0.0);
-  for (TupleId t = 0; t < rel.num_tuples(); ++t) {
-    if (idsets->empty(t)) continue;
-    double v = (c.agg == AggOp::kCount) ? 0.0 : rel.Double(t, c.attr);
-    idsets->ForEach(t, [&](TupleId id) {
-      if (!alive[id]) return;
+  // Aggregation constraint: accumulate per-id count / sum over all joinable
+  // tuples, then test the aggregate.
+  const bool needs_sum = c.agg != AggOp::kCount;
+  std::vector<uint32_t> count(satisfied->size(), 0);
+  std::vector<double> sum(needs_sum ? satisfied->size() : 0, 0.0);
+  for (size_t lo = 0; lo < p.size();) {
+    const size_t hi = TupleRunEnd(p, lo);
+    const double v = needs_sum ? rel.Double(PairTuple(p[lo]), c.attr) : 0.0;
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t id = PairId(p[k]);
+      if (!alive[id]) continue;
       ++count[id];
-      if (c.agg != AggOp::kCount) sum[id] += v;
-    });
+      if (needs_sum) sum[id] += v;
+    }
+    lo = hi;
   }
-  for (size_t id = 0; id < num_targets; ++id) {
-    if (AggregateSatisfies(c, count[id], sum.empty() ? 0.0 : sum[id])) {
+  for (size_t id = 0; id < count.size(); ++id) {
+    if (AggregateSatisfies(c, count[id], needs_sum ? sum[id] : 0.0)) {
       (*satisfied)[id] = 1;
     }
   }

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/idset_store.h"
+#include "core/id_pairs.h"
 #include "core/literal.h"
 #include "relational/relation.h"
 
@@ -18,29 +18,26 @@ bool TupleSatisfies(const Relation& rel, TupleId t, const Constraint& c);
 /// A target with no joinable tuple never satisfies an aggregation.
 bool AggregateSatisfies(const Constraint& c, uint32_t count, double sum);
 
-/// Applies a chosen constraint to a clause node that has idsets attached:
+/// Applies a chosen constraint to the (tuple, id) pairs of the clause node
+/// it targets:
 ///
-///  * For categorical / numerical constraints, the satisfying target set is
-///    `∪ { idset(u) : tuple u satisfies c }` (Corollary 1); the idsets of
-///    non-satisfying tuples are cleared so that onward propagation from this
+///  * For categorical / numerical constraints, the satisfying id set is
+///    `∪ { idset(u) : tuple u satisfies c }` (Corollary 1). The runs of
+///    non-satisfying tuples are erased, so onward propagation from this
 ///    node follows only the tuples bound by the literal (ILP variable
 ///    binding semantics).
-///  * For aggregation constraints, per-target aggregates over all joinable
-///    tuples are computed and tested; tuple idsets are left untouched (the
-///    aggregate is a property of the target tuple, not of any single joined
-///    tuple). Targets with no joinable tuple never satisfy an aggregation
+///  * For aggregation constraints, count / sum per id are folded over all
+///    pairs in (tuple, id) order — per id, ascending tuple order, the one
+///    summation order training and prediction share — and tested. The pairs
+///    are left untouched (the aggregate is a property of the id, not of any
+///    single joined tuple). Ids with no pair never satisfy an aggregation
 ///    constraint.
 ///
-/// Only target ids with `alive[id] != 0` are reported in `satisfied`
-/// (which must be pre-sized to the number of target tuples and is
-/// overwritten with 0/1 flags).
-///
-/// The satisfying-target union is built word-parallel — bitmap idsets OR
-/// into a dense accumulator (aliased spans once), sparse idsets scatter
-/// bits — then one AND against the packed alive mask decodes into
-/// `satisfied`.
+/// Only ids with `alive[id] != 0` are reported in `satisfied`, which must be
+/// pre-sized to the id universe (target tuples in training, query positions
+/// in `EvaluateClause`) and is overwritten with 0/1 flags.
 void ApplyConstraint(const Relation& rel, const Constraint& c,
-                     const std::vector<uint8_t>& alive, IdSetStore* idsets,
+                     const std::vector<uint8_t>& alive, IdPairs* pairs,
                      std::vector<uint8_t>* satisfied);
 
 }  // namespace crossmine

@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "core/bitmap_ops.h"
 #include "core/foil_gain.h"
 
 namespace crossmine {
@@ -33,13 +34,12 @@ void LiteralSearcher::SetContext(const std::vector<uint8_t>* alive,
     agg_count_.assign(alive_->size(), 0);
     agg_sum_.assign(alive_->size(), 0.0);
   }
-  // Pack the alive targets of each class as bitmap-kernel operands. The
-  // masks are disjoint and their union is the alive set, so a covered-id
-  // bitmap ANDed against them yields the distinct pos/neg counts directly.
+  // Pack the alive targets of each class as bitmap-kernel operands for
+  // node-0 counting: a dense posting ANDed against them yields the alive
+  // pos/neg counts directly.
   size_t words = bitmap_ops::WordsForBits(alive_->size());
   alive_pos_words_.assign(words, 0);
   alive_neg_words_.assign(words, 0);
-  union_words_.assign(words, 0);
   for (size_t id = 0; id < alive_->size(); ++id) {
     if (!(*alive_)[id]) continue;
     if ((*positive_)[id]) {
@@ -62,13 +62,12 @@ void LiteralSearcher::set_metrics(MetricsRegistry* metrics) {
   search_time_ = metrics->timer("train.phase.literal_search_seconds");
 }
 
-uint32_t LiteralSearcher::NewEpoch() {
+void LiteralSearcher::NewEpoch() {
   if (++epoch_ == 0) {
     // Wrapped around: clear stamps and restart.
     std::fill(mark_.begin(), mark_.end(), 0u);
     epoch_ = 1;
   }
-  return epoch_;
 }
 
 void LiteralSearcher::Offer(CandidateLiteral* best, const Constraint& c,
@@ -86,19 +85,35 @@ void LiteralSearcher::Offer(CandidateLiteral* best, const Constraint& c,
   }
 }
 
-CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
-                                           const IdSetStore& idsets,
+void LiteralSearcher::CountNew(const IdPairs& pairs, size_t lo, size_t hi,
+                               uint32_t* pos_cov, uint32_t* neg_cov) {
+  const std::vector<uint8_t>& alive = *alive_;
+  const std::vector<uint8_t>& positive = *positive_;
+  for (size_t k = lo; k < hi; ++k) {
+    const uint32_t id = PairId(pairs[k]);
+    if (!alive[id] || mark_[id] == epoch_) continue;
+    mark_[id] = epoch_;
+    ++*(positive[id] ? pos_cov : neg_cov);
+  }
+}
+
+CandidateLiteral LiteralSearcher::FindBest(RelId rel_id, const IdPairs& pairs,
                                            const CrossMineOptions& opts,
-                                           bool identity_idsets) {
+                                           bool identity_pairs) {
   CM_CHECK(alive_ != nullptr);
   const Relation& rel = db_->relation(rel_id);
-  CM_CHECK(idsets.num_sets() == rel.num_tuples());
-  CM_CHECK(static_cast<size_t>(idsets.universe()) == alive_->size());
-  identity_ = identity_idsets;
+  CM_CHECK(pairs.empty() || PairTuple(pairs.back()) < rel.num_tuples());
+  identity_ = identity_pairs;
 
   Stopwatch watch;
   offered_ = 0;
   hits_ = 0;
+  runs_.clear();
+  for (size_t lo = 0; lo < pairs.size(); lo = TupleRunEnd(pairs, lo)) {
+    runs_.push_back(static_cast<uint32_t>(lo));
+  }
+  runs_.push_back(static_cast<uint32_t>(pairs.size()));
+
   CandidateLiteral best;
   for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
     switch (rel.schema().attr(a).kind) {
@@ -106,17 +121,17 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
       case AttrKind::kForeignKey:
         break;  // keys are join plumbing, not literal material
       case AttrKind::kCategorical:
-        SearchCategorical(rel, a, idsets, &best);
+        SearchCategorical(rel, a, pairs, &best);
         break;
       case AttrKind::kNumerical:
         if (opts.use_numerical_literals) {
-          SearchNumerical(rel, a, idsets, &best);
+          SearchNumerical(rel, a, pairs, &best);
         }
         break;
     }
   }
   if (opts.use_aggregation_literals) {
-    SearchAggregations(rel, idsets, &best);
+    SearchAggregations(rel, pairs, &best);
   }
   if (literals_scored_ != nullptr) literals_scored_->Add(offered_);
   if (index_hits_ != nullptr && hits_ != 0) index_hits_->Add(hits_);
@@ -125,10 +140,41 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
 }
 
 void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
-                                        const IdSetStore& idsets,
+                                        const IdPairs& pairs,
                                         CandidateLiteral* best) {
   std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(attr);
   const AttrIndex& index = *handle;
+  const size_t num_values = index.num_values();
+
+  if (!identity_) {
+    // Counting-sort the tuple runs by value index. NULL satisfies no
+    // category, so NULL runs land in a trailing bucket no value reads.
+    // Placement advances each bucket's cursor to its end, leaving the runs
+    // of value v at order_[v == 0 ? 0 : bucket_[v - 1], bucket_[v]).
+    const Column<int64_t>& col = rel.IntColumn(attr);
+    const size_t num_runs = runs_.size() - 1;
+    run_value_.resize(num_runs);
+    bucket_.assign(num_values + 1, 0);
+    for (size_t r = 0; r < num_runs; ++r) {
+      const int64_t value = col[PairTuple(pairs[runs_[r]])];
+      const size_t v =
+          value == kNullValue ? num_values : index.FindValue(value);
+      CM_CHECK(v != AttrIndex::npos);
+      run_value_[r] = static_cast<uint32_t>(v);
+      ++bucket_[v];
+    }
+    uint32_t start = 0;
+    for (uint32_t& b : bucket_) {
+      const uint32_t count = b;
+      b = start;
+      start += count;
+    }
+    order_.resize(num_runs);
+    for (size_t r = 0; r < num_runs; ++r) {
+      order_[bucket_[run_value_[r]]++] = static_cast<uint32_t>(r);
+    }
+  }
+
   const std::vector<uint8_t>& alive = *alive_;
   const std::vector<uint8_t>& positive = *positive_;
   size_t words = alive_pos_words_.size();
@@ -136,14 +182,12 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
   const uint64_t* neg_words = alive_neg_words_.data();
   // `index.values` ascends, so candidates are offered — and gain ties
   // broken — in category-value order.
-  for (size_t v = 0; v < index.num_values(); ++v) {
-    const TupleId* tuples = index.posting(v);
-    uint32_t n = index.posting_count(v);
+  for (size_t v = 0; v < num_values; ++v) {
     uint32_t pos_cov = 0, neg_cov = 0;
     if (identity_) {
-      // Node-0 store (idset(t) = {t} iff alive[t]): the posting itself is
-      // the covered-target set, so count it directly against the class
-      // masks without touching the store.
+      // Node 0 (pairs = {(t, t) : alive[t]}): the posting itself is the
+      // covered-target set, so count it directly against the class masks
+      // without touching the pairs.
       const uint64_t* pw = index.posting_words(v);
       if (pw != nullptr) {
         pos_cov = static_cast<uint32_t>(
@@ -152,70 +196,21 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
             bitmap_ops::AndPopcount(pw, neg_words, words));
         ++hits_;
       } else {
+        const TupleId* tuples = index.posting(v);
+        const uint32_t n = index.posting_count(v);
         for (uint32_t i = 0; i < n; ++i) {
           TupleId id = tuples[i];
           if (!alive[id]) continue;
-          if (positive[id]) {
-            ++pos_cov;
-          } else {
-            ++neg_cov;
-          }
+          ++*(positive[id] ? &pos_cov : &neg_cov);
         }
       }
     } else {
-      // One pass over the posting collects the tuples with non-empty
-      // idsets (under sampling most are empty) together with the summed
-      // cardinality and representation mix; the chosen branch then touches
-      // only those. The word-parallel union pays off once any contributing
-      // idset is bitmap-kind (decoding it id-by-id is the expensive part)
-      // or the summed cardinality reaches the accumulator's own footprint;
-      // sparser postings take the epoch-stamped walk.
-      nonempty_.clear();
-      uint64_t total = 0;
-      bool any_bitmap = false;
-      for (uint32_t i = 0; i < n; ++i) {
-        TupleId t = tuples[i];
-        uint32_t card = idsets.Cardinality(t);
-        if (card == 0) continue;
-        nonempty_.push_back(t);
-        total += card;
-        any_bitmap = any_bitmap || idsets.IsBitmap(t);
-      }
-      if (any_bitmap || total >= 2 * words) {
-        std::fill(union_words_.begin(), union_words_.end(), 0);
-        uint64_t* acc = union_words_.data();
-        constexpr uint64_t kNoSpan = ~uint64_t{0};
-        uint64_t last_span = kNoSpan;
-        for (TupleId t : nonempty_) {
-          uint64_t span = idsets.span_key(t);
-          if (span == last_span) continue;  // aliased neighbor: already ORed
-          last_span = span;
-          if (idsets.IsBitmap(t)) {
-            bitmap_ops::Or(acc, idsets.bitmap_words(t), words);
-          } else {
-            const TupleId* ids = idsets.sparse_ids(t);
-            uint32_t m = idsets.Cardinality(t);
-            for (uint32_t j = 0; j < m; ++j) bitmap_ops::SetBit(acc, ids[j]);
-          }
-        }
-        pos_cov = static_cast<uint32_t>(
-            bitmap_ops::AndPopcount(acc, pos_words, words));
-        neg_cov = static_cast<uint32_t>(
-            bitmap_ops::AndPopcount(acc, neg_words, words));
-        ++hits_;
-      } else if (!nonempty_.empty()) {
-        uint32_t epoch = NewEpoch();
-        for (TupleId t : nonempty_) {
-          idsets.ForEach(t, [&](TupleId id) {
-            if (!alive[id] || mark_[id] == epoch) return;
-            mark_[id] = epoch;
-            if (positive[id]) {
-              ++pos_cov;
-            } else {
-              ++neg_cov;
-            }
-          });
-        }
+      const uint32_t begin = v == 0 ? 0 : bucket_[v - 1];
+      const uint32_t end = bucket_[v];
+      if (begin < end) NewEpoch();
+      for (uint32_t i = begin; i < end; ++i) {
+        const uint32_t r = order_[i];
+        CountNew(pairs, runs_[r], runs_[r + 1], &pos_cov, &neg_cov);
       }
     }
     Constraint c;
@@ -235,7 +230,7 @@ void LiteralSearcher::SweepThresholds(size_t n, AttrId attr, AggOp agg,
   c.agg = agg;
   uint32_t pos_cov = 0, neg_cov = 0;
   // Ascending: [value <= v], offered at distinct-value boundaries only.
-  std::fill(union_words_.begin(), union_words_.end(), 0);
+  NewEpoch();
   c.cmp = CmpOp::kLe;
   for (size_t i = 0; i < n; ++i) {
     step(i, &pos_cov, &neg_cov);
@@ -244,7 +239,7 @@ void LiteralSearcher::SweepThresholds(size_t n, AttrId attr, AggOp agg,
     Offer(best, c, pos_cov, neg_cov);
   }
   // Descending: [value >= v].
-  std::fill(union_words_.begin(), union_words_.end(), 0);
+  NewEpoch();
   pos_cov = neg_cov = 0;
   c.cmp = CmpOp::kGe;
   for (size_t i = n; i-- > 0;) {
@@ -256,22 +251,22 @@ void LiteralSearcher::SweepThresholds(size_t n, AttrId attr, AggOp agg,
 }
 
 void LiteralSearcher::SearchNumerical(const Relation& rel, AttrId attr,
-                                      const IdSetStore& idsets,
+                                      const IdPairs& pairs,
                                       CandidateLiteral* best) {
-  std::shared_ptr<const std::vector<TupleId>> order_handle =
-      rel.GetSortedIndex(attr);
-  const std::vector<TupleId>& order = *order_handle;
   const Column<double>& col = rel.DoubleColumn(attr);
-  const std::vector<uint8_t>& alive = *alive_;
-  const std::vector<uint8_t>& positive = *positive_;
-  auto value = [&](size_t i) { return col[order[i]]; };
-  ++hits_;
 
   if (identity_) {
-    // Node-0 store: each sweep step covers exactly its own tuple, so the
-    // cumulative counts are direct class checks — no marking, no bitmaps.
+    // Node 0: each sweep step over the sorted index covers exactly its own
+    // tuple, so the cumulative counts are direct class checks.
+    std::shared_ptr<const std::vector<TupleId>> order_handle =
+        rel.GetSortedIndex(attr);
+    const std::vector<TupleId>& order = *order_handle;
+    const std::vector<uint8_t>& alive = *alive_;
+    const std::vector<uint8_t>& positive = *positive_;
+    ++hits_;
     SweepThresholds(
-        order.size(), attr, AggOp::kNone, value,
+        order.size(), attr, AggOp::kNone,
+        [&](size_t i) { return col[order[i]]; },
         [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
           TupleId t = order[i];
           if (alive[t]) ++*(positive[t] ? pos_cov : neg_cov);
@@ -280,36 +275,22 @@ void LiteralSearcher::SearchNumerical(const Relation& rel, AttrId attr,
     return;
   }
 
-  // Incremental sweep on the counting kernel: the covered-target bitmap
-  // accumulates across steps and `OrCountNew` classifies each newly set
-  // bit by the disjoint class masks — dead ids land in neither. Aliased
-  // spans OR in zero fresh bits, so no dedup is needed for correctness.
-  size_t words = alive_pos_words_.size();
-  const uint64_t* pos_words = alive_pos_words_.data();
-  const uint64_t* neg_words = alive_neg_words_.data();
-  uint64_t* acc = union_words_.data();
+  // The frontier's tuple runs in (value, tuple) order: the sorted index
+  // restricted to tuples that carry ids. Each step counts its run's newly
+  // covered targets under the direction's mark epoch.
+  const size_t num_runs = runs_.size() - 1;
+  sorted_runs_.clear();
+  for (size_t r = 0; r < num_runs; ++r) {
+    sorted_runs_.emplace_back(col[PairTuple(pairs[runs_[r]])],
+                              static_cast<uint32_t>(r));
+  }
+  std::sort(sorted_runs_.begin(), sorted_runs_.end());
   SweepThresholds(
-      order.size(), attr, AggOp::kNone, value,
+      sorted_runs_.size(), attr, AggOp::kNone,
+      [&](size_t i) { return sorted_runs_[i].first; },
       [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
-        TupleId t = order[i];
-        if (idsets.empty(t)) return;
-        if (idsets.IsBitmap(t)) {
-          bitmap_ops::OrCountNew(acc, idsets.bitmap_words(t), pos_words,
-                                 neg_words, words, pos_cov, neg_cov);
-          return;
-        }
-        const TupleId* ids = idsets.sparse_ids(t);
-        uint32_t m = idsets.Cardinality(t);
-        for (uint32_t j = 0; j < m; ++j) {
-          TupleId id = ids[j];
-          if (bitmap_ops::TestBit(acc, id)) continue;
-          bitmap_ops::SetBit(acc, id);
-          if (bitmap_ops::TestBit(pos_words, id)) {
-            ++*pos_cov;
-          } else if (bitmap_ops::TestBit(neg_words, id)) {
-            ++*neg_cov;
-          }
-        }
+        const uint32_t r = sorted_runs_[i].second;
+        CountNew(pairs, runs_[r], runs_[r + 1], pos_cov, neg_cov);
       },
       best);
 }
@@ -327,19 +308,18 @@ void LiteralSearcher::SweepSortedTargets(
 }
 
 void LiteralSearcher::SearchAggregations(const Relation& rel,
-                                         const IdSetStore& idsets,
+                                         const IdPairs& pairs,
                                          CandidateLiteral* best) {
   const std::vector<uint8_t>& alive = *alive_;
 
   // Per-target join count (shared by count(*) and as the divisor for avg).
   // `touched` lists targets with at least one joinable tuple.
   std::vector<TupleId> touched;
-  for (uint32_t t = 0; t < idsets.num_sets(); ++t) {
-    idsets.ForEach(t, [&](TupleId id) {
-      if (!alive[id]) return;
-      if (agg_count_[id] == 0) touched.push_back(id);
-      ++agg_count_[id];
-    });
+  for (IdPair p : pairs) {
+    const uint32_t id = PairId(p);
+    if (!alive[id]) continue;
+    if (agg_count_[id] == 0) touched.push_back(id);
+    ++agg_count_[id];
   }
   if (touched.empty()) return;
 
@@ -354,17 +334,19 @@ void LiteralSearcher::SearchAggregations(const Relation& rel,
     SweepSortedTargets(entries, AggOp::kCount, kInvalidAttr, best);
   }
 
-  // sum(attr) / avg(attr) for every numerical attribute.
+  // sum(attr) / avg(attr) for every numerical attribute. Pairs walk in
+  // (tuple, id) order, so each target sums in ascending tuple order.
+  const size_t num_runs = runs_.size() - 1;
   for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
     if (rel.schema().attr(a).kind != AttrKind::kNumerical) continue;
     for (TupleId id : touched) agg_sum_[id] = 0.0;
     const Column<double>& col = rel.DoubleColumn(a);
-    for (TupleId t = 0; t < rel.num_tuples(); ++t) {
-      if (idsets.empty(t)) continue;
-      double v = col[t];
-      idsets.ForEach(t, [&](TupleId id) {
+    for (size_t r = 0; r < num_runs; ++r) {
+      const double v = col[PairTuple(pairs[runs_[r]])];
+      for (uint32_t k = runs_[r]; k < runs_[r + 1]; ++k) {
+        const uint32_t id = PairId(pairs[k]);
         if (alive[id]) agg_sum_[id] += v;
-      });
+      }
     }
     std::vector<std::pair<double, TupleId>> entries;
     entries.reserve(touched.size());

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "core/idset_store.h"
+#include "core/id_pairs.h"
 #include "core/literal.h"
 #include "core/options.h"
 #include "relational/database.h"
@@ -23,29 +23,35 @@ struct CandidateLiteral {
   bool valid() const { return gain >= 0.0; }
 };
 
-/// Finds the best constraint within one relation given propagated tuple IDs
-/// (§5.1). Scans each attribute once:
+/// Finds the best constraint within one relation given its propagated
+/// (tuple, id) pairs (§5.1). Scans each attribute once:
 ///  * categorical attributes: one distinct-target count per category value;
 ///  * numerical attributes: ascending sweep for `<= v` literals, descending
-///    sweep for `>= v` literals, over the cached sorted index;
+///    sweep for `>= v` literals;
 ///  * aggregation literals: per-target count/sum/avg statistics, then the
 ///    same two-direction sweep over the aggregated values.
 ///
 /// Counting is *distinct-target* counting (the §4.3 pitfall): a target tuple
-/// joinable with many satisfying tuples is counted once. Counts come from the
-/// relation's cached `AttrIndex` posting lists and the `bitmap_ops` kernel,
-/// with a per-value choice by cardinality:
+/// joinable with many satisfying tuples is counted once, through
+/// epoch-stamped marks over the target ids. Every scan walks only the
+/// pairs, so its cost tracks the live frontier, not relation width:
+///  * categorical: one walk of the tuple runs counting-sorts them into
+///    per-value buckets, and each bucket's distinct alive pos/neg targets
+///    are counted;
+///  * numerical: the tuple runs sorted by (value, tuple) — the relation's
+///    sorted index restricted to the frontier — are swept. Thresholds
+///    between frontier values cover nothing new, so they cannot win and
+///    are not offered;
+///  * aggregation: per-target count / sum over the pairs in (tuple, id)
+///    order, the summation order `ApplyConstraint` uses.
 ///
-///  * dense values (any bitmap-kind idset, or summed cardinality at or above
-///    the accumulator's footprint) build the covered-target set as a bitmap
-///    union; pos/neg counts are `popcount(union ∧ alive_pos)` /
-///    `popcount(union ∧ alive_neg)`;
-///  * sparse values walk their few non-empty idsets with epoch-stamped
-///    marker arrays, no per-candidate allocation.
+/// The clause's node 0 (the target relation itself, `idset(t) = {t}` for
+/// alive t) may instead be searched straight off the relation's cached
+/// `AttrIndex` postings and sorted index (`identity_pairs`), counting
+/// dense postings with the `bitmap_ops` AND+popcount kernel.
 ///
-/// Both branches count the same distinct targets, so the choice never
-/// changes the chosen literal. The golden models and the brute-force oracles
-/// in `literal_search_test.cc` / `property_test.cc` referee the counts.
+/// The golden models and the brute-force oracles in `literal_search_test.cc`
+/// / `property_test.cc` referee the counts.
 ///
 /// The searcher owns scratch buffers sized to the number of target tuples;
 /// reuse one instance across calls.
@@ -63,28 +69,34 @@ class LiteralSearcher {
   /// Attaches a metrics registry (borrowed; null detaches). `FindBest`
   /// then accumulates scan wall time into `train.phase.literal_search_seconds`,
   /// one `train.literals_scored` tick per candidate offered to the gain
-  /// comparison, and one `train.index.hits` tick per counting served by
-  /// the word-parallel kernel (per categorical value, per numerical
-  /// attribute sweep pair). Counting never alters which literal wins.
+  /// comparison, and one `train.index.hits` tick per counting served by a
+  /// node-0 index (per categorical value counted by the word-parallel
+  /// kernel, per numerical sweep over the sorted index). Counting never
+  /// alters which literal wins.
   void set_metrics(MetricsRegistry* metrics);
 
-  /// Best constraint on `rel` given `idsets` (parallel to rel's tuples).
-  /// `identity_idsets` asserts the caller-known invariant
-  /// `idset(t) = {t} iff alive[t]` (the clause's node-0 store): counting
-  /// then reads straight off the AttrIndex postings without touching the
-  /// store. Purely an optimization hint — counts are the same
+  /// Best constraint on `rel` given its (tuple, id) `pairs`.
+  /// `identity_pairs` asserts the caller-known invariant that the pairs are
+  /// exactly `(t, t)` for every alive target t (the clause's node 0):
+  /// categorical and numerical counting then read straight off the
+  /// relation's indexes without touching the pairs. The winner is the same
   /// with it off.
-  CandidateLiteral FindBest(RelId rel, const IdSetStore& idsets,
+  CandidateLiteral FindBest(RelId rel, const IdPairs& pairs,
                             const CrossMineOptions& opts,
-                            bool identity_idsets = false);
+                            bool identity_pairs = false);
 
  private:
   void SearchCategorical(const Relation& rel, AttrId attr,
-                         const IdSetStore& idsets, CandidateLiteral* best);
-  void SearchNumerical(const Relation& rel, AttrId attr,
-                       const IdSetStore& idsets, CandidateLiteral* best);
-  void SearchAggregations(const Relation& rel, const IdSetStore& idsets,
+                         const IdPairs& pairs, CandidateLiteral* best);
+  void SearchNumerical(const Relation& rel, AttrId attr, const IdPairs& pairs,
+                       CandidateLiteral* best);
+  void SearchAggregations(const Relation& rel, const IdPairs& pairs,
                           CandidateLiteral* best);
+
+  /// Counts the not-yet-marked alive targets of the pairs in [lo, hi) into
+  /// `pos_cov` / `neg_cov`, marking them with the current epoch.
+  void CountNew(const IdPairs& pairs, size_t lo, size_t hi, uint32_t* pos_cov,
+                uint32_t* neg_cov);
 
   /// Sweeps entries (sorted ascending by value) in both directions, offering
   /// `<=`/`>=` candidates at distinct-value boundaries.
@@ -96,7 +108,7 @@ class LiteralSearcher {
   /// `step(i, &pos, &neg)` adds position i's newly covered targets, and a
   /// `<= value(i)` (ascending) or `>= value(i)` (descending) candidate is
   /// offered at each distinct-value boundary. Each direction starts from
-  /// empty coverage and a cleared union accumulator.
+  /// empty coverage and a fresh mark epoch.
   template <typename Value, typename Step>
   void SweepThresholds(size_t n, AttrId attr, AggOp agg, Value value,
                        Step step, CandidateLiteral* best);
@@ -104,7 +116,8 @@ class LiteralSearcher {
   void Offer(CandidateLiteral* best, const Constraint& c, uint32_t pos_cov,
              uint32_t neg_cov) const;
 
-  uint32_t NewEpoch();
+  /// Starts a fresh mark epoch: no target counts as marked.
+  void NewEpoch();
 
   const Database* db_;
   const std::vector<uint8_t>* positive_;
@@ -116,14 +129,22 @@ class LiteralSearcher {
   std::vector<uint32_t> agg_count_;
   std::vector<double> agg_sum_;
 
-  /// Kernel state, rebuilt by `SetContext`: the alive targets of each class
-  /// as kernel operands, plus the union accumulator. `identity_` is the
-  /// per-`FindBest` node-0 hint.
+  /// The alive targets of each class as kernel operands for node-0
+  /// counting, rebuilt by `SetContext`. `identity_` is the per-`FindBest`
+  /// node-0 hint.
   std::vector<uint64_t> alive_pos_words_;
   std::vector<uint64_t> alive_neg_words_;
-  std::vector<uint64_t> union_words_;
-  std::vector<TupleId> nonempty_;
   bool identity_ = false;
+
+  /// Per-`FindBest` frontier scratch: `runs_` holds the start of every
+  /// tuple run of the pairs (plus an end sentinel); `run_value_`,
+  /// `bucket_` and `order_` are the categorical counting sort;
+  /// `sorted_runs_` the numerical (value, run) order.
+  std::vector<uint32_t> runs_;
+  std::vector<uint32_t> run_value_;
+  std::vector<uint32_t> bucket_;
+  std::vector<uint32_t> order_;
+  std::vector<std::pair<double, uint32_t>> sorted_runs_;
 
   /// Cached metric handles (null when detached). `offered_` / `hits_` batch
   /// the per-candidate counts locally during one `FindBest` so the hot

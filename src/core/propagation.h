@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/idset_store.h"
+#include "core/id_pairs.h"
 #include "relational/database.h"
 
 namespace crossmine {
@@ -22,69 +22,64 @@ struct PropagationLimits {
 
 /// Outcome of one tuple ID propagation step.
 struct PropagationResult {
-  /// One idset per destination tuple, arena-backed; freed (`num_sets() == 0`)
-  /// when `ok == false`.
-  IdSetStore idsets;
+  /// (destination tuple, id) pairs, sorted and duplicate-free; empty, with
+  /// nothing allocated, when `ok == false`.
+  IdPairs pairs;
   /// False when a PropagationLimits guard rejected the edge.
   bool ok = true;
-  /// Total ids attached to destination tuples.
+  /// Total ids attached to destination tuples: `pairs.size()` on success,
+  /// the volume the guards judged otherwise.
   uint64_t total_ids = 0;
 };
 
-/// Reusable working memory for `PropagateIds` merges. One scratch per worker
-/// lane amortizes the buffers across every propagation that lane runs —
-/// after warm-up the hot path stops allocating. (The per-join-value grouping
-/// itself comes from the source relation's cached hash index, so no grouping
-/// buffers live here.)
+/// Reusable working memory for `PropagateIds`. One scratch per worker lane
+/// amortizes the buffers across every propagation that lane runs, so after
+/// warm-up only the result itself allocates.
 struct PropagationScratch {
-  /// (join value, source tuple) pairs of the non-empty source tuples,
-  /// sorted to form the per-value buckets
-  std::vector<std::pair<int64_t, TupleId>> groups;
-  /// tuple ids of the bucket currently being merged
-  std::vector<TupleId> bucket;
-  /// span-dedup / gather scratch of AssignUnionOfSets
-  UnionScratch union_scratch;
-  /// packed alive mask handed to the word-parallel union filter
-  std::vector<uint64_t> alive_words;
+  /// (destination value index, id) keys, one per distinct id reaching a
+  /// join value; runs of one value index are that value's merged idset
+  IdPairs keys;
+  /// start of each value's run in `keys`, plus an end sentinel
+  std::vector<uint32_t> groups;
+  /// (destination tuple, value run) per reached destination tuple
+  IdPairs dests;
 };
 
-/// Propagates tuple IDs along `edge` (Definition 2): every destination tuple
-/// `u` receives `idset(u) = ∪ { idset(t) : t ∈ source, t.A = u.A }`.
+/// Propagates IDs along `edge` (Definition 2): every destination tuple `u`
+/// receives `idset(u) = ∪ { idset(t) : t ∈ source, t.A = u.A }`. `src` holds
+/// the source relation's (tuple, id) pairs.
 ///
-/// `src_idsets` is parallel to the source relation's tuples. If `alive` is
-/// non-null (parallel to the target relation), only alive IDs are carried
-/// over — this is the "update IDs on every active relation" filtering of
-/// Algorithm 2 fused into the propagation.
+/// If `alive` is non-null, only ids with a set flag are carried over — the
+/// "update IDs on every active relation" filtering of Algorithm 2 fused
+/// into the propagation.
 ///
-/// Destination tuples sharing a join value alias one merged arena span in
-/// the result store instead of receiving copies; `total_ids` and the limit
-/// guards still count every destination separately, exactly like the
-/// per-destination copies they replace.
+/// The walk costs what the source pairs reach: each source tuple run probes
+/// the destination's `AttrIndex` once (NULL never matches, SQL semantics),
+/// and its ids are merged per join value. The §4.3 guards are judged on the
+/// per-value volumes (`|merged idset| × posting count`) before any output
+/// pair exists, so a rejected edge allocates nothing. Only then are the
+/// pairs written, in destination-tuple order.
 ///
-/// `scratch` (optional) reuses grouping and merge buffers across calls.
+/// Training (`ClauseBuilder`) and prediction (`EvaluateClause`) share this
+/// routine; prediction passes no limits.
 ///
-/// Per-value merges whose summed input cardinality passes the store's bitmap
-/// threshold run word-parallel (OR + alive-mask AND + popcount); smaller
-/// ones gather and sort (see `IdSetStore::AssignUnionOfSets`).
-///
-/// NULL join values never match (SQL semantics).
+/// `scratch` (optional) reuses the grouping buffers across calls.
 PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
-                               const IdSetStore& src_idsets,
+                               const IdPairs& src,
                                const std::vector<uint8_t>* alive,
                                const PropagationLimits& limits = {},
                                PropagationScratch* scratch = nullptr);
 
 /// Refreshes a previously successful propagation after the alive mask
-/// shrank: one in-place `FilterAndCompact` pass over the result's arena
-/// drops dead IDs and reclaims their storage, then `total_ids` is recomputed
-/// and the `limits` guards re-applied to the filtered volume.
+/// shrank: the pairs of dead ids are erased in place, then `total_ids` is
+/// recomputed and the `limits` guards re-applied to the filtered volume.
 ///
 /// When the alive mask only loses members between two propagation requests
 /// (the Algorithm 2 invariant — appended literals only remove targets),
 /// this produces a result identical to re-running `PropagateIds` with the
-/// new mask, at the cost of one linear compaction instead of a full
-/// re-join. Returns `result->ok` for convenience; a result that now trips
-/// a limit has its store freed, exactly like a fresh failed propagation.
+/// new mask, at the cost of one linear filter instead of a re-join. Returns
+/// `result->ok` for convenience; a result that now trips a limit has its
+/// pairs freed, exactly like a fresh failed propagation.
 bool RefreshPropagation(PropagationResult* result,
                         const std::vector<uint8_t>& alive,
                         const PropagationLimits& limits);

@@ -69,9 +69,9 @@ IndexCache::Artifact BuildAttrIndex(const Column<int64_t>& col,
   }
   index->offsets.push_back(static_cast<uint32_t>(pairs.size()));
 
-  // Promote high-cardinality postings to dense bitmaps at the same
-  // break-even the IdSetStore uses: past 2 * words the bitmap is at most
-  // half the sorted list's footprint, and counting turns into AND+popcount.
+  // Promote high-cardinality postings to dense bitmaps: past 2 * words the
+  // bitmap is at most half the sorted list's footprint, and counting turns
+  // into AND+popcount.
   // Only literal scoring reads bitmaps, so key attributes (with_bitmaps ==
   // false) keep postings only and stay cheap against the memory budget.
   index->word_offs.assign(index->values.size(), AttrIndex::kNoBitmap);

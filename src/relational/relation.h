@@ -111,8 +111,8 @@ class Column {
 /// For *categorical* attributes, values whose posting reaches the dense
 /// break-even threshold (`max(16, 2 * words_per_value)` — the cardinality
 /// where a `num_tuples / 8`-byte bitmap is no larger than the 4-byte-per-id
-/// sorted list, the IdSetStore rule) additionally carry a dense bitmap over
-/// tuple ids for O(1) membership and word-parallel AND+popcount counting.
+/// sorted list) additionally carry a dense bitmap over tuple ids for
+/// word-parallel AND+popcount counting of node-0 literals.
 /// Key attributes skip bitmap promotion: joins only ever walk postings, so
 /// the bitmaps would be dead weight against the memory budget.
 ///
@@ -137,9 +137,15 @@ struct AttrIndex {
   const TupleId* posting(size_t v) const {
     return postings.data() + offsets[v];
   }
-  /// Binary-searches `values`; returns the value's index or `npos`. The
-  /// join probe that replaced `HashIndex::find`.
+  /// Returns the index of `value` in `values`, or `npos`: the join probe of
+  /// every propagation hop. Dictionary codes and surrogate keys are dense
+  /// (`values[i] == i`), so a value that sits at its own index is answered
+  /// in O(1); anything else is binary-searched.
   size_t FindValue(int64_t value) const {
+    if (value >= 0 && static_cast<uint64_t>(value) < values.size() &&
+        values[static_cast<size_t>(value)] == value) {
+      return static_cast<size_t>(value);
+    }
     auto it = std::lower_bound(values.begin(), values.end(), value);
     if (it == values.end() || *it != value) return npos;
     return static_cast<size_t>(it - values.begin());

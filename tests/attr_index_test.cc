@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -132,6 +133,43 @@ TEST(AttrIndexTest, CachedUntilMutationThenRebuilt) {
   ASSERT_EQ(rebuilt.posting_count(v), 1u);
   EXPECT_EQ(rebuilt.posting(v)[0], 0u);
   CheckIndexAgainstColumn(rel, f.account_frequency);
+}
+
+// FindValue answers dense keys (`values[v] == v`) without a search and
+// falls back to binary search otherwise; either way every probe must agree
+// with a plain lower_bound over the distinct values.
+TEST(AttrIndexTest, FindValueDenseProbeMatchesLowerBound) {
+  const std::vector<std::vector<int64_t>> value_sets = {
+      {},                          // empty index
+      {0, 1, 2, 3, 4, 5, 6, 7},    // dense 0..n-1 (codes, surrogate keys)
+      {0, 1, 2, 5, 6, 9},          // a gap: 5 and 9 sit off their index
+      {3, 4, 5, 6},                // shifted: no value at its own index
+      {-7, -2, 0, 1, 2},           // negatives shift the dense prefix
+      {1},                         // value == size
+      {0, 1, 2, 1000000}};         // a far outlier past the end
+  for (const std::vector<int64_t>& values : value_sets) {
+    AttrIndex index;
+    // Spare capacity past the end holds "matching" codes, so a probe that
+    // skipped the bounds check would find them.
+    index.values.reserve(values.size() + 16);
+    for (int64_t v = 0; v < static_cast<int64_t>(values.size()) + 16; ++v) {
+      index.values.push_back(v);
+    }
+    index.values.assign(values.begin(), values.end());
+    std::vector<int64_t> probes = {kNullValue, -8, -7, -3, -2,
+                                   std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(),
+                                   999999, 1000000, 1000001};
+    for (int64_t v = -1; v <= 12; ++v) probes.push_back(v);
+    for (int64_t probe : probes) {
+      auto it = std::lower_bound(values.begin(), values.end(), probe);
+      const size_t want = (it == values.end() || *it != probe)
+                              ? AttrIndex::npos
+                              : static_cast<size_t>(it - values.begin());
+      EXPECT_EQ(index.FindValue(probe), want)
+          << "probe " << probe << " over " << values.size() << " values";
+    }
+  }
 }
 
 }  // namespace

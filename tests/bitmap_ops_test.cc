@@ -19,11 +19,12 @@ std::vector<uint64_t> ToWords(const SetRef& ids, size_t universe) {
   return words;
 }
 
-/// Decodes a bitmap back into a reference set via ForEachBit.
+/// Decodes a bitmap back into a reference set via TestBit.
 SetRef ToSet(const std::vector<uint64_t>& words) {
   SetRef out;
-  bitmap_ops::ForEachBit(words.data(), words.size(),
-                         [&out](TupleId id) { out.insert(id); });
+  for (TupleId id = 0; id < words.size() * 64; ++id) {
+    if (bitmap_ops::TestBit(words.data(), id)) out.insert(id);
+  }
   return out;
 }
 
@@ -41,19 +42,6 @@ SetRef Intersect(const SetRef& a, const SetRef& b) {
   SetRef out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::inserter(out, out.begin()));
-  return out;
-}
-
-SetRef Difference(const SetRef& a, const SetRef& b) {
-  SetRef out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::inserter(out, out.begin()));
-  return out;
-}
-
-SetRef Union(const SetRef& a, const SetRef& b) {
-  SetRef out = a;
-  out.insert(b.begin(), b.end());
   return out;
 }
 
@@ -85,69 +73,8 @@ TEST(BitmapOpsTest, BinaryKernelsMatchSetAlgebra) {
       SetRef b = RandomSet(&rng, universe, 0.05 + 0.2 * (round % 3));
       std::vector<uint64_t> wa = ToWords(a, universe);
       std::vector<uint64_t> wb = ToWords(b, universe);
-      size_t n = wa.size();
-
-      EXPECT_EQ(bitmap_ops::AndPopcount(wa.data(), wb.data(), n),
+      EXPECT_EQ(bitmap_ops::AndPopcount(wa.data(), wb.data(), wa.size()),
                 Intersect(a, b).size());
-      EXPECT_EQ(bitmap_ops::AndNotPopcount(wa.data(), wb.data(), n),
-                Difference(a, b).size());
-
-      std::vector<uint64_t> dst = wa;
-      bitmap_ops::Or(dst.data(), wb.data(), n);
-      EXPECT_EQ(ToSet(dst), Union(a, b));
-
-      dst = wa;
-      bitmap_ops::And(dst.data(), wb.data(), n);
-      EXPECT_EQ(ToSet(dst), Intersect(a, b));
-
-      dst = wa;
-      bitmap_ops::AndNot(dst.data(), wb.data(), n);
-      EXPECT_EQ(ToSet(dst), Difference(a, b));
-    }
-  }
-}
-
-TEST(BitmapOpsTest, OrCountNewCountsOnlyFreshBitsPerClass) {
-  std::mt19937_64 rng(4242);
-  for (size_t universe : kUniverses) {
-    for (int round = 0; round < 8; ++round) {
-      SetRef acc = RandomSet(&rng, universe, 0.2);
-      SetRef src = RandomSet(&rng, universe, 0.3);
-      // Disjoint class masks, as the literal search provides them.
-      SetRef pos = RandomSet(&rng, universe, 0.4);
-      SetRef all = RandomSet(&rng, universe, 0.7);
-      SetRef neg = Difference(all, pos);
-
-      std::vector<uint64_t> dst = ToWords(acc, universe);
-      std::vector<uint64_t> wsrc = ToWords(src, universe);
-      std::vector<uint64_t> wpos = ToWords(pos, universe);
-      std::vector<uint64_t> wneg = ToWords(neg, universe);
-
-      uint32_t pos_add = 7, neg_add = 11;  // verify adds, not overwrites
-      bitmap_ops::OrCountNew(dst.data(), wsrc.data(), wpos.data(),
-                             wneg.data(), dst.size(), &pos_add, &neg_add);
-
-      SetRef fresh = Difference(src, acc);
-      EXPECT_EQ(pos_add, 7 + Intersect(fresh, pos).size());
-      EXPECT_EQ(neg_add, 11 + Intersect(fresh, neg).size());
-      EXPECT_EQ(ToSet(dst), Union(acc, src));
-    }
-  }
-}
-
-TEST(BitmapOpsTest, PackBytesMatchesByteMask) {
-  std::mt19937_64 rng(555);
-  for (size_t universe : kUniverses) {
-    for (double density : {0.0, 0.3, 1.0}) {
-      SetRef ref = RandomSet(&rng, universe, density);
-      std::vector<uint8_t> bytes(universe, 0);
-      for (TupleId id : ref) bytes[id] = 1;
-      // Poison the output to prove full overwrite including the tail word.
-      std::vector<uint64_t> words(bitmap_ops::WordsForBits(universe),
-                                  ~uint64_t{0});
-      bitmap_ops::PackBytes(bytes.data(), bytes.size(), words.data());
-      EXPECT_EQ(ToSet(words), ref) << "universe=" << universe;
-      EXPECT_EQ(bitmap_ops::Popcount(words.data(), words.size()), ref.size());
     }
   }
 }
@@ -160,18 +87,6 @@ TEST(BitmapOpsTest, WordsForBitsBoundaries) {
   EXPECT_EQ(bitmap_ops::WordsForBits(65), 2u);
   EXPECT_EQ(bitmap_ops::WordsForBits(128), 2u);
   EXPECT_EQ(bitmap_ops::WordsForBits(129), 3u);
-}
-
-TEST(BitmapOpsTest, ForEachBitAscendingOrder) {
-  std::mt19937_64 rng(31337);
-  SetRef ref = RandomSet(&rng, 500, 0.2);
-  std::vector<uint64_t> words = ToWords(ref, 500);
-  std::vector<TupleId> seen;
-  bitmap_ops::ForEachBit(words.data(), words.size(),
-                         [&seen](TupleId id) { seen.push_back(id); });
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-  EXPECT_EQ(SetRef(seen.begin(), seen.end()), ref);
-  EXPECT_EQ(seen.size(), ref.size());
 }
 
 }  // namespace

@@ -132,8 +132,8 @@ TEST(ClauseEvalTest, AggregationLiteralInClause) {
 
 TEST(ClauseEvalTest, TrainedModelCoverageConsistentWithPrediction) {
   // Every learned clause must re-cover at least one tuple of its class
-  // through the evaluator, which shares no propagation code with the
-  // trainer.
+  // when evaluated afresh from the query ids, not from the frontier the
+  // trainer built it on.
   Fig2Database f = MakeFig2Database();
   CrossMineOptions opts;
   opts.min_foil_gain = 0.5;
@@ -153,8 +153,8 @@ TEST(ClauseEvalTest, TrainedModelCoverageConsistentWithPrediction) {
 }
 
 // Trainer-coverage check: the evaluator agrees with a replay of each
-// learned clause through the trainer's constraint applier
-// (`ApplyConstraint`) over brute-force propagation, on random databases.
+// learned clause through `ApplyConstraint` over brute-force nested-loop
+// propagation, on random databases.
 class ClauseEvalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ClauseEvalPropertyTest, MatchesBruteForceOracle) {

@@ -1,9 +1,9 @@
 // Golden-model regression tests: training on fixed generator configs must
 // produce models byte-identical to the committed golden files under
-// tests/golden/. The goldens were written by the pre-IdSetStore-refactor
-// trainer, so these tests prove the arena-backed ID storage (and any later
-// storage-layer change) is semantics-preserving down to the serialized
-// bytes — at one worker thread and at several.
+// tests/golden/. The goldens were written by the trainer of the original
+// per-tuple vector ID storage, so these tests prove every later ID storage
+// layout (today the (tuple, id) pair engine) is semantics-preserving down
+// to the serialized bytes — at one worker thread and at several.
 //
 // To regenerate the goldens after an *intentional* model change, run with
 // CROSSMINE_WRITE_GOLDEN=1 and commit the rewritten files.

@@ -15,6 +15,9 @@ namespace {
 using testing::BruteForceBestGain;
 using testing::BruteForceCoverage;
 using testing::Fig2Database;
+using testing::IdSet;
+using testing::IdSetsFromPairs;
+using testing::PairsFromIdSets;
 using testing::MakeFig2Database;
 using testing::MakeRandomDatabase;
 using testing::RandomAliveMask;
@@ -57,7 +60,7 @@ TEST(LiteralSearchTest, FindsMonthlyFrequencyLiteral) {
   opts.use_numerical_literals = false;
   opts.use_aggregation_literals = false;
   CandidateLiteral best =
-      searcher.FindBest(f.account, StoreFromIdSets(idsets, 5), opts);
+      searcher.FindBest(f.account, PairsFromIdSets(idsets), opts);
   ASSERT_TRUE(best.valid());
   EXPECT_EQ(best.constraint.attr, f.account_frequency);
   EXPECT_EQ(best.constraint.category, f.monthly);
@@ -112,7 +115,7 @@ TEST(LiteralSearchTest, DistinctTargetCountingSection43) {
   CrossMineOptions opts;
   opts.use_aggregation_literals = false;
   CandidateLiteral best =
-      searcher.FindBest(0, StoreFromIdSets(idsets, 10), opts);
+      searcher.FindBest(0, PairsFromIdSets(idsets), opts);
   // The only literal covers everything — no discrimination, so the search
   // reports nothing (had labels been counted per-binding it would report
   // a misleading 14+/5- literal).
@@ -133,7 +136,7 @@ TEST(LiteralSearchTest, NumericalSweepFindsThreshold) {
   CrossMineOptions opts;
   opts.use_aggregation_literals = false;
   CandidateLiteral best =
-      searcher.FindBest(f.loan, StoreFromIdSets(root, 5), opts);
+      searcher.FindBest(f.loan, PairsFromIdSets(root), opts);
   ASSERT_TRUE(best.valid());
   // duration <= 12 gives 2+/0-, the purest split with decent coverage;
   // payment <= 120 would give 2+/0- as well (90 and 120): either is
@@ -169,7 +172,7 @@ TEST(LiteralSearchTest, NumericalGeDirection) {
   for (TupleId i = 0; i < 6; ++i) root[i] = {i};
   CrossMineOptions opts;
   opts.use_aggregation_literals = false;
-  CandidateLiteral best = searcher.FindBest(0, StoreFromIdSets(root, 6), opts);
+  CandidateLiteral best = searcher.FindBest(0, PairsFromIdSets(root), opts);
   ASSERT_TRUE(best.valid());
   EXPECT_EQ(best.constraint.cmp, CmpOp::kGe);
   EXPECT_DOUBLE_EQ(best.constraint.threshold, 3.0);
@@ -213,7 +216,7 @@ TEST(LiteralSearchTest, AggregationCountLiteralFound) {
   searcher.SetContext(&s.alive, s.pos, s.neg);
   CrossMineOptions opts;  // aggregations enabled by default
   CandidateLiteral best =
-      searcher.FindBest(0, StoreFromIdSets(idsets, 8), opts);
+      searcher.FindBest(0, PairsFromIdSets(idsets), opts);
   ASSERT_TRUE(best.valid());
   EXPECT_EQ(best.constraint.agg, AggOp::kCount);
   EXPECT_EQ(best.constraint.cmp, CmpOp::kGe);
@@ -235,7 +238,7 @@ TEST(LiteralSearchTest, DisablingFamiliesRestrictsSearch) {
   // The loan relation has only key + numerical attributes, so disabling
   // numerical literals leaves nothing to find.
   CandidateLiteral best =
-      searcher.FindBest(f.loan, StoreFromIdSets(root, 5), none);
+      searcher.FindBest(f.loan, PairsFromIdSets(root), none);
   EXPECT_FALSE(best.valid());
 }
 
@@ -247,7 +250,7 @@ class LiteralSearchPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 /// Searches `rel` for categorical literals under `s.alive` and checks the
 /// winner against the brute-force oracles.
 void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
-                                        const IdSetStore& idsets,
+                                        const IdPairs& pairs,
                                         const SearchSetup& s,
                                         LiteralSearcher* searcher,
                                         bool identity = false) {
@@ -255,7 +258,8 @@ void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
   CrossMineOptions opts;
   opts.use_numerical_literals = false;
   opts.use_aggregation_literals = false;
-  CandidateLiteral best = searcher->FindBest(rel_id, idsets, opts, identity);
+  CandidateLiteral best = searcher->FindBest(rel_id, pairs, opts, identity);
+  std::vector<IdSet> idsets = IdSetsFromPairs(pairs, rel.num_tuples());
   EXPECT_DOUBLE_EQ(best.gain,
                    BruteForceBestGain(rel, idsets, s.alive, s.positive, s.pos,
                                       s.neg, /*numerical=*/false));
@@ -271,14 +275,13 @@ void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
 
 /// Checks the node-0 identity search on the target and, for every edge out
 /// of the target, the search over alive-filtered and unfiltered propagated
-/// idsets (the latter keep dead targets, which counting must skip).
+/// pairs (the latter keep dead targets, which counting must skip).
 void ExpectEdgesMatchBruteForce(const Database& db, const SearchSetup& s) {
   LiteralSearcher searcher(&db, &s.positive);
   searcher.SetContext(&s.alive, s.pos, s.neg);
   std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
-  IdSetStore full_root, alive_root;
-  full_root.InitIdentity(all);
-  alive_root.InitIdentity(s.alive);
+  IdPairs full_root = IdentityPairs(all);
+  IdPairs alive_root = IdentityPairs(s.alive);
   ExpectCategoricalMatchesBruteForce(db, db.target(), alive_root, s, &searcher,
                                      /*identity=*/true);
   for (const JoinEdge& edge : db.edges()) {
@@ -286,9 +289,9 @@ void ExpectEdgesMatchBruteForce(const Database& db, const SearchSetup& s) {
     PropagationResult filtered = PropagateIds(db, edge, alive_root, &s.alive);
     PropagationResult unfiltered = PropagateIds(db, edge, full_root, nullptr);
     ASSERT_TRUE(filtered.ok && unfiltered.ok);
-    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, filtered.idsets, s,
+    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, filtered.pairs, s,
                                        &searcher);
-    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, unfiltered.idsets, s,
+    ExpectCategoricalMatchesBruteForce(db, edge.to_rel, unfiltered.pairs, s,
                                        &searcher);
   }
 }
@@ -298,9 +301,8 @@ TEST_P(LiteralSearchPropertyTest, CategoricalCountsMatchBruteForce) {
   ExpectEdgesMatchBruteForce(db, SetupFromLabels(db));
 
   // A sampling-like frontier (~15% of targets alive) over a skewed-fan-in
-  // database: filtered propagation leaves sparse postings (the epoch walk),
-  // unfiltered propagation leaves bitmap-kind idsets (the word-parallel
-  // union).
+  // database: filtered propagation leaves sparse runs, unfiltered
+  // propagation long runs that are mostly dead targets.
   Database sampled = MakeRandomDatabase(GetParam(), 3, 240, /*fk_values=*/6);
   TupleId n = sampled.target_relation().num_tuples();
   ExpectEdgesMatchBruteForce(

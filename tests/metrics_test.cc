@@ -134,6 +134,7 @@ TEST(TouchStandardMetricsTest, RegistersPhaseTimersAndCacheCounters) {
         "train.phase.sampling_seconds", "train.phase.reestimation_seconds",
         "train.phase.join_seconds", "train.propagation.cache_hits",
         "train.propagation.cache_refreshes", "train.propagation.cache_misses",
+        "train.propagation.peak_id_bytes", "train.propagation.pairs",
         "train.clauses_built", "train.literals_scored",
         "train.literals_accepted"}) {
     EXPECT_EQ(snap.count(key), 1u) << key;

@@ -157,6 +157,11 @@ TEST(ParallelSearchTest, ReportCountersAreThreadCountInvariant) {
       << "1-thread and 4-thread runs reported different counter totals";
   EXPECT_GT(sequential.at("train.literals_scored"), 0.0);
   EXPECT_GT(sequential.at("train.search.tasks"), 0.0);
+  // The frontier volume is part of the comparison above; make sure it was
+  // actually exercised.
+  EXPECT_GT(sequential.at("train.propagation.pairs"), 0.0);
+  EXPECT_EQ(sequential.at("train.propagation.pairs"),
+            parallel.at("train.propagation.pairs"));
 }
 
 TEST(ParallelSearchTest, AttachedMetricsDoNotPerturbTheModel) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/idset.h"
 #include "test_util.h"
 
 namespace crossmine {
@@ -10,6 +9,8 @@ namespace {
 
 using testing::BruteForcePropagate;
 using testing::Fig2Database;
+using testing::IdSet;
+using testing::IdSetsFromPairs;
 using testing::MakeFig2Database;
 using testing::MakeRandomDatabase;
 
@@ -25,12 +26,16 @@ const JoinEdge* FindEdge(const Database& db, RelId from, AttrId from_attr,
   return nullptr;
 }
 
-// Root idset store for the target relation: idset(t) = {t}.
-IdSetStore RootStore(const Database& db) {
-  std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
-  IdSetStore root;
-  root.InitIdentity(all);
-  return root;
+// Root pairs for the target relation: idset(t) = {t}.
+IdPairs RootPairs(const Database& db) {
+  return IdentityPairs(
+      std::vector<uint8_t>(db.target_relation().num_tuples(), 1));
+}
+
+// The propagated idsets of every tuple of `rel`.
+std::vector<IdSet> Sets(const Database& db, RelId rel,
+                        const PropagationResult& result) {
+  return IdSetsFromPairs(result.pairs, db.relation(rel).num_tuples());
 }
 
 TEST(PropagationTest, PaperFig4Example) {
@@ -42,13 +47,13 @@ TEST(PropagationTest, PaperFig4Example) {
   ASSERT_NE(edge, nullptr);
 
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
   ASSERT_TRUE(result.ok);
-  ASSERT_EQ(result.idsets.num_sets(), 4u);
-  EXPECT_EQ(result.idsets.ToVector(0), (IdSet{0, 1}));  // account 124
-  EXPECT_EQ(result.idsets.ToVector(1), (IdSet{2}));     // account 108
-  EXPECT_EQ(result.idsets.ToVector(2), (IdSet{3, 4}));  // account 45
-  EXPECT_TRUE(result.idsets.empty(3));                  // account 67
+  std::vector<IdSet> sets = Sets(f.db, f.account, result);
+  EXPECT_EQ(sets[0], (IdSet{0, 1}));  // account 124
+  EXPECT_EQ(sets[1], (IdSet{2}));     // account 108
+  EXPECT_EQ(sets[2], (IdSet{3, 4}));  // account 45
+  EXPECT_TRUE(sets[3].empty());       // account 67
   EXPECT_EQ(result.total_ids, 5u);
 }
 
@@ -64,16 +69,13 @@ TEST(PropagationTest, ReversePropagationRecoversLoans) {
   ASSERT_NE(to_loan, nullptr);
 
   PropagationResult at_account =
-      PropagateIds(f.db, *to_account, RootStore(f.db), nullptr);
+      PropagateIds(f.db, *to_account, RootPairs(f.db), nullptr);
   PropagationResult back =
-      PropagateIds(f.db, *to_loan, at_account.idsets, nullptr);
+      PropagateIds(f.db, *to_loan, at_account.pairs, nullptr);
   ASSERT_TRUE(back.ok);
   // Loans 0 and 1 share account 124.
-  EXPECT_EQ(back.idsets.ToVector(0), (IdSet{0, 1}));
-  EXPECT_EQ(back.idsets.ToVector(1), (IdSet{0, 1}));
-  EXPECT_EQ(back.idsets.ToVector(2), (IdSet{2}));
-  EXPECT_EQ(back.idsets.ToVector(3), (IdSet{3, 4}));
-  EXPECT_EQ(back.idsets.ToVector(4), (IdSet{3, 4}));
+  EXPECT_EQ(Sets(f.db, f.loan, back),
+            (std::vector<IdSet>{{0, 1}, {0, 1}, {2}, {3, 4}, {3, 4}}));
 }
 
 TEST(PropagationTest, AliveMaskFiltersIds) {
@@ -82,11 +84,10 @@ TEST(PropagationTest, AliveMaskFiltersIds) {
   std::vector<uint8_t> alive{1, 0, 1, 0, 1};  // loans 0, 2, 4 alive
 
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), &alive);
+      PropagateIds(f.db, *edge, RootPairs(f.db), &alive);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.idsets.ToVector(0), (IdSet{0}));
-  EXPECT_EQ(result.idsets.ToVector(1), (IdSet{2}));
-  EXPECT_EQ(result.idsets.ToVector(2), (IdSet{4}));
+  EXPECT_EQ(Sets(f.db, f.account, result),
+            (std::vector<IdSet>{{0}, {2}, {4}, {}}));
 }
 
 TEST(PropagationTest, NullJoinValuesNeverMatch) {
@@ -95,20 +96,18 @@ TEST(PropagationTest, NullJoinValuesNeverMatch) {
   f.db.mutable_relation(f.loan).SetInt(0, f.loan_account, kNullValue);
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.idsets.ToVector(0), (IdSet{1}));  // loan 0 misses 124
+  EXPECT_EQ(Sets(f.db, f.account, result)[0], (IdSet{1}));  // loan 0 misses
 }
 
 TEST(PropagationTest, EmptySourceIdsetsYieldEmptyDestination) {
   Fig2Database f = MakeFig2Database();
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
-  IdSetStore empty;
-  empty.Reset(f.db.target_relation().num_tuples(),
-              f.db.target_relation().num_tuples());
-  PropagationResult result = PropagateIds(f.db, *edge, empty, nullptr);
+  PropagationResult result = PropagateIds(f.db, *edge, IdPairs{}, nullptr);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.total_ids, 0u);
+  EXPECT_TRUE(result.pairs.empty());
 }
 
 TEST(PropagationTest, MaxTotalIdsLimitRejects) {
@@ -117,9 +116,11 @@ TEST(PropagationTest, MaxTotalIdsLimitRejects) {
   PropagationLimits limits;
   limits.max_total_ids = 2;  // Fig. 4 needs 5
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), nullptr, limits);
+      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.idsets.num_sets(), 0u);  // store freed, like a fresh fail
+  // Judged before any pair is written: the rejected edge allocated none.
+  EXPECT_EQ(result.pairs.capacity(), 0u);
+  EXPECT_EQ(result.total_ids, 5u);
 }
 
 TEST(PropagationTest, MaxAvgFanoutLimitRejectsUnselectiveLink) {
@@ -128,11 +129,11 @@ TEST(PropagationTest, MaxAvgFanoutLimitRejectsUnselectiveLink) {
   PropagationLimits limits;
   limits.max_avg_fanout = 1.2;  // Fig. 4 average is 5/3 ≈ 1.67
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), nullptr, limits);
+      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
   EXPECT_FALSE(result.ok);
 
   limits.max_avg_fanout = 2.0;  // now admissible
-  result = PropagateIds(f.db, *edge, RootStore(f.db), nullptr, limits);
+  result = PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
   EXPECT_TRUE(result.ok);
 }
 
@@ -140,17 +141,23 @@ TEST(PropagationTest, RefreshMatchesFreshPropagationAndCompactsArena) {
   Fig2Database f = MakeFig2Database();
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootStore(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
   ASSERT_TRUE(result.ok);
-  uint64_t bytes_before = result.idsets.arena_bytes();
+  const IdPair* storage = result.pairs.data();
 
   std::vector<uint8_t> alive{1, 0, 1, 0, 1};
   ASSERT_TRUE(RefreshPropagation(&result, alive, PropagationLimits{}));
-  PropagationResult fresh = PropagateIds(f.db, *edge, RootStore(f.db), &alive);
-  EXPECT_EQ(IdSetsFromStore(result.idsets), IdSetsFromStore(fresh.idsets));
+  PropagationResult fresh = PropagateIds(f.db, *edge, RootPairs(f.db), &alive);
+  EXPECT_EQ(result.pairs, fresh.pairs);
   EXPECT_EQ(result.total_ids, fresh.total_ids);
-  // The compaction reclaims the dropped ids' storage in place.
-  EXPECT_LE(result.idsets.arena_bytes(), bytes_before);
+  // The dead pairs are erased in place: same storage, no reallocation.
+  EXPECT_EQ(result.pairs.data(), storage);
+
+  // A refresh that now trips a guard frees its pairs, like a fresh fail.
+  PropagationLimits limits;
+  limits.max_total_ids = 2;
+  EXPECT_FALSE(RefreshPropagation(&result, alive, limits));
+  EXPECT_EQ(result.pairs.capacity(), 0u);
 }
 
 TEST(PropagationTest, TransitivePropagationLemma2) {
@@ -199,13 +206,12 @@ TEST(PropagationTest, TransitivePropagationLemma2) {
   ASSERT_NE(to_mid, nullptr);
   ASSERT_NE(to_leaf, nullptr);
 
-  PropagationResult at_mid = PropagateIds(db, *to_mid, RootStore(db), nullptr);
+  PropagationResult at_mid = PropagateIds(db, *to_mid, RootPairs(db), nullptr);
   PropagationResult at_leaf =
-      PropagateIds(db, *to_leaf, at_mid.idsets, nullptr);
+      PropagateIds(db, *to_leaf, at_mid.pairs, nullptr);
   ASSERT_TRUE(at_leaf.ok);
   // Leaf 0 <- mids {0,1} <- targets {0,1}; leaf 1 <- mid 2 <- targets {2,3}.
-  EXPECT_EQ(at_leaf.idsets.ToVector(0), (IdSet{0, 1}));
-  EXPECT_EQ(at_leaf.idsets.ToVector(1), (IdSet{2, 3}));
+  EXPECT_EQ(Sets(db, 0, at_leaf), (std::vector<IdSet>{{0, 1}, {2, 3}}));
 }
 
 // Property test: on random databases, PropagateIds agrees with a
@@ -215,32 +221,33 @@ class PropagationPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PropagationPropertyTest, MatchesBruteForceOnEveryEdge) {
   Database db = MakeRandomDatabase(GetParam());
-  IdSetStore root = RootStore(db);
-  std::vector<IdSet> root_v = IdSetsFromStore(root);
+  IdPairs root = RootPairs(db);
+  std::vector<IdSet> root_v =
+      IdSetsFromPairs(root, db.target_relation().num_tuples());
 
   Rng rng(GetParam() ^ 0xabcd);
-  std::vector<uint8_t> alive(root.num_sets());
+  std::vector<uint8_t> alive(root_v.size());
   for (auto& a : alive) a = rng.Bernoulli(0.7);
 
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     PropagationResult got = PropagateIds(db, edge, root, nullptr);
     ASSERT_TRUE(got.ok);
-    EXPECT_EQ(IdSetsFromStore(got.idsets),
+    EXPECT_EQ(Sets(db, edge.to_rel, got),
               BruteForcePropagate(db, edge, root_v, nullptr));
 
     PropagationResult masked = PropagateIds(db, edge, root, &alive);
     ASSERT_TRUE(masked.ok);
-    EXPECT_EQ(IdSetsFromStore(masked.idsets),
+    EXPECT_EQ(Sets(db, edge.to_rel, masked),
               BruteForcePropagate(db, edge, root_v, &alive));
 
     // Second hop from the reached relation, exercising Lemma 2.
     for (int32_t e2 : db.OutEdges(edge.to_rel)) {
       const JoinEdge& second = db.edges()[static_cast<size_t>(e2)];
-      PropagationResult hop2 = PropagateIds(db, second, got.idsets, nullptr);
+      PropagationResult hop2 = PropagateIds(db, second, got.pairs, nullptr);
       ASSERT_TRUE(hop2.ok);
-      EXPECT_EQ(IdSetsFromStore(hop2.idsets),
-                BruteForcePropagate(db, second, IdSetsFromStore(got.idsets),
+      EXPECT_EQ(Sets(db, second.to_rel, hop2),
+                BruteForcePropagate(db, second, Sets(db, edge.to_rel, got),
                                     nullptr));
     }
   }

@@ -19,7 +19,12 @@
 namespace crossmine {
 namespace {
 
+using testing::FilterIdSet;
+using testing::IdSet;
+using testing::IdSetsFromPairs;
 using testing::MakeRandomDatabase;
+using testing::NormalizeIdSet;
+using testing::UnionInPlace;
 
 // ---------------------------------------------------------------- idsets --
 
@@ -80,8 +85,8 @@ class NumericalLiteralOracleTest
 /// each winner against the brute-force oracles: the winning numerical
 /// literal's counts, and that no categorical value or numerical threshold
 /// beats the winner's gain. `filter` searches as training does: the target
-/// itself under the node-0 identity hint, then idsets propagated through
-/// the alive mask; without it the propagated idsets keep dead targets,
+/// itself under the node-0 identity hint, then pairs propagated through
+/// the alive mask; without it the propagated pairs keep dead targets,
 /// which counting must skip.
 void ExpectNumericalMatchesBruteForce(const Database& db,
                                       const std::vector<uint8_t>& alive,
@@ -103,9 +108,10 @@ void ExpectNumericalMatchesBruteForce(const Database& db,
   CrossMineOptions opts;
   opts.use_aggregation_literals = false;  // numerical-only focus
 
-  auto check = [&](RelId rel_id, const IdSetStore& idsets, bool identity) {
+  auto check = [&](RelId rel_id, const IdPairs& pairs, bool identity) {
     const Relation& rel = db.relation(rel_id);
-    CandidateLiteral best = searcher.FindBest(rel_id, idsets, opts, identity);
+    CandidateLiteral best = searcher.FindBest(rel_id, pairs, opts, identity);
+    std::vector<IdSet> idsets = IdSetsFromPairs(pairs, rel.num_tuples());
     EXPECT_DOUBLE_EQ(best.gain,
                      testing::BruteForceBestGain(rel, idsets, alive, positive,
                                                  pos, neg, /*numerical=*/true));
@@ -125,15 +131,14 @@ void ExpectNumericalMatchesBruteForce(const Database& db,
   };
 
   std::vector<uint8_t> all(n, 1);
-  IdSetStore root;
-  root.InitIdentity(filter ? alive : all);
+  IdPairs root = IdentityPairs(filter ? alive : all);
   if (filter) check(db.target(), root, /*identity=*/true);
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     PropagationResult prop =
         PropagateIds(db, edge, root, filter ? &alive : nullptr);
     ASSERT_TRUE(prop.ok);
-    check(edge.to_rel, prop.idsets, /*identity=*/false);
+    check(edge.to_rel, prop.pairs, /*identity=*/false);
   }
 }
 
@@ -143,8 +148,8 @@ TEST_P(NumericalLiteralOracleTest, BestLiteralCountsMatchBruteForce) {
   ExpectNumericalMatchesBruteForce(db, all, /*filter=*/false);
 
   // ~15% of targets alive over a skewed-fan-in database: unfiltered
-  // propagation leaves bitmap-kind idsets, so the sweeps run through
-  // `OrCountNew`; filtered propagation leaves sparse ones.
+  // propagation leaves dense runs full of dead targets, filtered
+  // propagation sparse ones.
   Database sampled = MakeRandomDatabase(GetParam(), 3, 240, /*fk_values=*/6);
   std::vector<uint8_t> alive = testing::RandomAliveMask(
       GetParam() ^ 0xa11e, sampled.target_relation().num_tuples(), 0.15);
@@ -164,8 +169,7 @@ TEST_P(FkFkPropagationTest, MatchesBruteForceOnFkFkEdges) {
   // target, creating FK-FK edges between them through the target's PK.
   Database db = MakeRandomDatabase(GetParam(), /*num_relations=*/4);
   std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
-  IdSetStore root;
-  root.InitIdentity(all);
+  IdPairs root = IdentityPairs(all);
 
   int fkfk_checked = 0;
   for (const JoinEdge& first : db.edges()) {
@@ -175,12 +179,15 @@ TEST_P(FkFkPropagationTest, MatchesBruteForceOnFkFkEdges) {
     for (int32_t e2 : db.OutEdges(first.to_rel)) {
       const JoinEdge& second = db.edges()[static_cast<size_t>(e2)];
       if (second.kind != JoinKind::kFkToFk) continue;
-      PropagationResult got =
-          PropagateIds(db, second, at_mid.idsets, nullptr);
+      PropagationResult got = PropagateIds(db, second, at_mid.pairs, nullptr);
       ASSERT_TRUE(got.ok);
-      EXPECT_EQ(IdSetsFromStore(got.idsets),
-                testing::BruteForcePropagate(
-                    db, second, IdSetsFromStore(at_mid.idsets), nullptr));
+      EXPECT_EQ(
+          IdSetsFromPairs(got.pairs, db.relation(second.to_rel).num_tuples()),
+          testing::BruteForcePropagate(
+              db, second,
+              IdSetsFromPairs(at_mid.pairs,
+                              db.relation(first.to_rel).num_tuples()),
+              nullptr));
       ++fkfk_checked;
     }
   }

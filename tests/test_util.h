@@ -4,6 +4,7 @@
 // Shared fixtures and brute-force oracles for the CrossMine test suite.
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 #include <vector>
@@ -13,23 +14,86 @@
 #include "core/clause_eval.h"
 #include "core/constraint_eval.h"
 #include "core/foil_gain.h"
-#include "core/idset.h"
+#include "core/id_pairs.h"
 #include "core/literal.h"
 #include "relational/database.h"
 
 namespace crossmine::testing {
 
-/// Vector-of-vectors `ApplyConstraint` shim for tests and oracles: bridges
-/// the legacy carrier through an `IdSetStore` (sets hold target ids, so the
-/// universe is the target-tuple count, `satisfied->size()`).
+/// The reference carrier of Definition 2's idsets: one sorted,
+/// duplicate-free vector of target ids per tuple. Oracles and hand-written
+/// expectations use it; the engine's `IdPairs` bridge to it below.
+using IdSet = std::vector<TupleId>;
+
+/// Sorts and deduplicates `ids` in place, establishing the IdSet invariant.
+inline void NormalizeIdSet(IdSet* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+/// Merges sorted-unique `src` into sorted-unique `*dst` (set union).
+inline void UnionInPlace(IdSet* dst, const IdSet& src) {
+  IdSet merged;
+  merged.reserve(dst->size() + src.size());
+  std::set_union(dst->begin(), dst->end(), src.begin(), src.end(),
+                 std::back_inserter(merged));
+  *dst = std::move(merged);
+}
+
+/// Removes from `*ids` every id whose `alive` flag is 0.
+inline void FilterIdSet(IdSet* ids, const std::vector<uint8_t>& alive) {
+  std::erase_if(*ids, [&alive](TupleId id) { return !alive[id]; });
+}
+
+/// Applies `FilterIdSet` to every set, shrinking storage for emptied sets.
+inline void FilterIdSets(std::vector<IdSet>* idsets,
+                         const std::vector<uint8_t>& alive) {
+  for (IdSet& ids : *idsets) {
+    FilterIdSet(&ids, alive);
+    if (ids.empty()) IdSet().swap(ids);
+  }
+}
+
+/// Total number of ids across all sets.
+inline uint64_t TotalIds(const std::vector<IdSet>& idsets) {
+  uint64_t total = 0;
+  for (const IdSet& ids : idsets) total += ids.size();
+  return total;
+}
+
+/// The (tuple, id) pairs of `sets`, one per member. Every set must already
+/// be sorted-unique.
+inline IdPairs PairsFromIdSets(const std::vector<IdSet>& sets) {
+  IdPairs pairs;
+  for (TupleId t = 0; t < sets.size(); ++t) {
+    for (TupleId id : sets[t]) pairs.push_back(MakeIdPair(t, id));
+  }
+  return pairs;
+}
+
+/// The idsets of `num_tuples` tuples held by `pairs`, checking the pair
+/// invariant (sorted, duplicate-free, tuples in range) on the way.
+inline std::vector<IdSet> IdSetsFromPairs(const IdPairs& pairs,
+                                          TupleId num_tuples) {
+  CM_CHECK(std::is_sorted(pairs.begin(), pairs.end()));
+  CM_CHECK(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end());
+  std::vector<IdSet> sets(num_tuples);
+  for (IdPair p : pairs) {
+    CM_CHECK(PairTuple(p) < num_tuples);
+    sets[PairTuple(p)].push_back(PairId(p));
+  }
+  return sets;
+}
+
+/// `ApplyConstraint` over reference idsets: bridges them through pairs
+/// (ids are target ids, so the universe is `satisfied->size()`).
 inline void ApplyConstraintV(const Relation& rel, const Constraint& c,
                              const std::vector<uint8_t>& alive,
                              std::vector<IdSet>* idsets,
                              std::vector<uint8_t>* satisfied) {
-  IdSetStore store =
-      StoreFromIdSets(*idsets, static_cast<TupleId>(satisfied->size()));
-  ApplyConstraint(rel, c, alive, &store, satisfied);
-  *idsets = IdSetsFromStore(store);
+  IdPairs pairs = PairsFromIdSets(*idsets);
+  ApplyConstraint(rel, c, alive, &pairs, satisfied);
+  *idsets = IdSetsFromPairs(pairs, static_cast<TupleId>(idsets->size()));
 }
 
 /// `EvaluateClause` over a 0/1 query mask parallel to the target relation,
@@ -216,14 +280,14 @@ inline std::vector<uint8_t> RandomAliveMask(uint64_t seed, TupleId n,
 /// `keep`, collected through a std::set.
 template <typename Keep>
 std::pair<uint32_t, uint32_t> BruteForceCoverage(
-    const IdSetStore& idsets, const std::vector<uint8_t>& alive,
+    const std::vector<IdSet>& idsets, const std::vector<uint8_t>& alive,
     const std::vector<uint8_t>& positive, Keep keep) {
   std::set<TupleId> covered;
-  for (TupleId u = 0; u < idsets.num_sets(); ++u) {
+  for (TupleId u = 0; u < idsets.size(); ++u) {
     if (!keep(u)) continue;
-    idsets.ForEach(u, [&](TupleId id) {
+    for (TupleId id : idsets[u]) {
       if (alive[id]) covered.insert(id);
-    });
+    }
   }
   uint32_t pos = 0, neg = 0;
   for (TupleId id : covered) {
@@ -241,7 +305,8 @@ std::pair<uint32_t, uint32_t> BruteForceCoverage(
 /// searcher's candidate rules: a literal must cover a positive and must not
 /// cover every alive target. -1 when no literal qualifies, matching an
 /// invalid `CandidateLiteral`.
-inline double BruteForceBestGain(const Relation& rel, const IdSetStore& idsets,
+inline double BruteForceBestGain(const Relation& rel,
+                                 const std::vector<IdSet>& idsets,
                                  const std::vector<uint8_t>& alive,
                                  const std::vector<uint8_t>& positive,
                                  uint32_t pos, uint32_t neg, bool numerical) {

@@ -4,8 +4,9 @@
 # standing memory-error detector for the new long-lived path: buffer
 # handling in the JSON codec and the TCP line reader, promise/future
 # lifetimes across drain, and the connection-teardown ordering. Also runs
-# the IdSetStore suite: the arena store's in-place compaction and span
-# aliasing are exactly the kind of offset arithmetic ASan exists for.
+# the propagation oracle: the pair engine's per-value grouping, run
+# boundaries and in-place erasure are exactly the kind of offset
+# arithmetic ASan exists for.
 # The corruption and fault suites ride along so every rejected corrupt
 # input and every injected failure path is also memory-clean: an
 # out-of-bounds parse of hostile bytes is a failure even when it does not
@@ -34,7 +35,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$BUILD_DIR" -j \
-  --target protocol_test serve_test idset_store_test bitmap_ops_test \
+  --target protocol_test serve_test propagation_oracle_test bitmap_ops_test \
   attr_index_test index_cache_test csv_corruption_test columnar_test \
   columnar_corruption_test fault_matrix_test shard_test \
   shard_process_test predict_referee_test crossmine_cli serve_client
@@ -43,7 +44,7 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/protocol_test
 "$BUILD_DIR"/tests/serve_test
-"$BUILD_DIR"/tests/idset_store_test
+"$BUILD_DIR"/tests/propagation_oracle_test
 "$BUILD_DIR"/tests/bitmap_ops_test
 "$BUILD_DIR"/tests/attr_index_test
 "$BUILD_DIR"/tests/index_cache_test

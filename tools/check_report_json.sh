@@ -4,8 +4,10 @@
 # TILDE, and validates that every stdout line is one JSON object and that
 # fold lines carry the required schema — per-fold phase timings
 # (propagation, literal search, sampling, re-estimation), propagation-cache
-# hit/refresh/miss counters, per-class clause counts and the predict-side
-# frontier counter (predict.propagated_pairs). Malformed flag
+# hit/refresh/miss counters, the training frontier counters
+# (train.propagation.pairs, train.propagation.peak_id_bytes), per-class
+# clause counts and the predict-side frontier counter
+# (predict.propagated_pairs). Malformed flag
 # values must be rejected before any output: exit 2, nothing on stdout, no
 # model file, and a stderr message naming the flag.
 #
@@ -42,6 +44,8 @@ required = [
     "train.propagation.cache_hits",
     "train.propagation.cache_refreshes",
     "train.propagation.cache_misses",
+    "train.propagation.pairs",
+    "train.propagation.peak_id_bytes",
     "train.index.evictions",
     "train.index.rebuilds",
     "train.index.peak_bytes",
@@ -67,6 +71,9 @@ with open(path) as f:
             folds += 1
             for key in required:
                 assert key in obj, f"{classifier}: fold line missing {key}"
+            if classifier == "crossmine":
+                assert obj["train.propagation.pairs"] > 0, \
+                    "crossmine: training propagated no pairs"
         elif obj["report"] == "cv_totals":
             totals += 1
             assert "train.phase.propagation_seconds" in obj

@@ -2,7 +2,9 @@
 # Builds the parallel-search tests under ThreadSanitizer and runs them.
 # A standing race detector for the clause-search worker pool: any data race
 # in ThreadPool, the per-worker LiteralSearcher scratch, or the shared
-# propagation cache fails this script. The fault-matrix suite rides along
+# propagation cache fails this script (pool lanes refresh and read cached
+# pair vectors; the propagation oracle runs here for the pair engine those
+# lanes share). The fault-matrix suite rides along
 # for the connection-thread registry: accept-side reaping, shutdown-side
 # joining, and injected mid-connection failures all racing one another.
 # The AttrIndex equivalence suite rides along because parallel workers share
@@ -29,7 +31,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Tsan
 cmake --build "$BUILD_DIR" -j \
   --target parallel_search_test clause_builder_test serve_test \
-  idset_store_test attr_index_test index_cache_test columnar_test \
+  propagation_oracle_test attr_index_test index_cache_test columnar_test \
   fault_matrix_test shard_test shard_process_test predict_referee_test \
   crossmine_cli
 
@@ -37,7 +39,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/parallel_search_test
 "$BUILD_DIR"/tests/clause_builder_test
 "$BUILD_DIR"/tests/serve_test
-"$BUILD_DIR"/tests/idset_store_test
+"$BUILD_DIR"/tests/propagation_oracle_test
 "$BUILD_DIR"/tests/attr_index_test
 "$BUILD_DIR"/tests/index_cache_test
 "$BUILD_DIR"/tests/columnar_test
