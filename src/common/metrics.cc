@@ -117,7 +117,6 @@ void TouchStandardTrainMetrics(MetricsRegistry* registry) {
   registry->counter("train.index.evictions");
   registry->counter("train.index.rebuilds");
   registry->counter("train.index.budget_bytes");
-  registry->counter("train.index.hits");
   registry->counter("storage.column.materializations");
 }
 

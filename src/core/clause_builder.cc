@@ -70,16 +70,9 @@ void ClauseBuilder::WarmIndexes() const {
   for (RelId r = 0; r < db_->num_relations(); ++r) {
     const Relation& rel = db_->relation(r);
     for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
-      switch (rel.schema().attr(a).kind) {
-        case AttrKind::kPrimaryKey:
-        case AttrKind::kForeignKey:
-        case AttrKind::kCategorical:
-          rel.GetAttrIndex(a);
-          break;
-        case AttrKind::kNumerical:
-          if (opts_->use_numerical_literals) rel.GetSortedIndex(a);
-          break;
-      }
+      // Numerical literals sort the frontier's own runs, so training reads
+      // an index of integer attributes only.
+      if (rel.schema().IsIntAttr(a)) rel.GetAttrIndex(a);
     }
   }
 }
@@ -249,12 +242,9 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     LiteralSearcher& searcher = searchers_[static_cast<size_t>(worker)];
     if (t.edge < 0) {
       // Hop 0: constraint on the active node itself (empty prop-path).
-      // Node 0 is the target relation, whose pairs stay the identity
-      // (`(t, t)` iff alive) through every refresh.
       const ClauseNode& node = clause_.nodes()[static_cast<size_t>(t.node)];
-      scored[i] = searcher.FindBest(node.relation,
-                                    node_pairs_[static_cast<size_t>(t.node)],
-                                    *opts_, /*identity_pairs=*/t.node == 0);
+      scored[i] = searcher.FindBest(
+          node.relation, node_pairs_[static_cast<size_t>(t.node)], *opts_);
     } else if (t.edge2 < 0) {
       // Hop 1: one propagation along a join edge leaving the node.
       const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];

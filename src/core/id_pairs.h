@@ -1,6 +1,7 @@
 #ifndef CROSSMINE_CORE_ID_PAIRS_H_
 #define CROSSMINE_CORE_ID_PAIRS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,6 +35,46 @@ inline size_t TupleRunEnd(const IdPairs& pairs, size_t lo) {
   size_t hi = lo + 1;
   while (hi < pairs.size() && PairTuple(pairs[hi]) == t) ++hi;
   return hi;
+}
+
+/// Inputs shorter than this are left to `std::sort` by `SortPairs`.
+inline constexpr size_t kSortPairsCutoff = 64;
+
+/// Sorts `pairs` ascending in linear time: an LSD radix sort over the bytes
+/// of the packed keys that actually vary. One pass ANDs and ORs every key;
+/// a byte that every key shares is skipped, and each other byte costs one
+/// histogram pass and one scatter pass into `tmp`, after which the two
+/// buffers swap. Propagation keys vary in ~14 bits per half, so a sort is
+/// about four byte passes. `tmp` is reusable scratch; its contents on
+/// return are unspecified.
+inline void SortPairs(IdPairs* pairs, IdPairs* tmp) {
+  const size_t n = pairs->size();
+  if (n < kSortPairsCutoff) {
+    std::sort(pairs->begin(), pairs->end());
+    return;
+  }
+  uint64_t all_and = ~uint64_t{0};
+  uint64_t all_or = 0;
+  for (IdPair p : *pairs) {
+    all_and &= p;
+    all_or |= p;
+  }
+  const uint64_t varying = all_and ^ all_or;
+  tmp->resize(n);
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    size_t start[256] = {};
+    for (IdPair p : *pairs) ++start[(p >> shift) & 0xff];
+    size_t sum = 0;
+    for (size_t& s : start) {
+      const size_t count = s;
+      s = sum;
+      sum += count;
+    }
+    IdPair* out = tmp->data();
+    for (IdPair p : *pairs) out[start[(p >> shift) & 0xff]++] = p;
+    pairs->swap(*tmp);
+  }
 }
 
 /// Node-0 pairs: `(t, t)` for every target t with a set `alive` flag.

@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
-#include "core/bitmap_ops.h"
 #include "core/foil_gain.h"
 
 namespace crossmine {
@@ -34,31 +33,15 @@ void LiteralSearcher::SetContext(const std::vector<uint8_t>* alive,
     agg_count_.assign(alive_->size(), 0);
     agg_sum_.assign(alive_->size(), 0.0);
   }
-  // Pack the alive targets of each class as bitmap-kernel operands for
-  // node-0 counting: a dense posting ANDed against them yields the alive
-  // pos/neg counts directly.
-  size_t words = bitmap_ops::WordsForBits(alive_->size());
-  alive_pos_words_.assign(words, 0);
-  alive_neg_words_.assign(words, 0);
-  for (size_t id = 0; id < alive_->size(); ++id) {
-    if (!(*alive_)[id]) continue;
-    if ((*positive_)[id]) {
-      bitmap_ops::SetBit(alive_pos_words_.data(), static_cast<TupleId>(id));
-    } else {
-      bitmap_ops::SetBit(alive_neg_words_.data(), static_cast<TupleId>(id));
-    }
-  }
 }
 
 void LiteralSearcher::set_metrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     literals_scored_ = nullptr;
-    index_hits_ = nullptr;
     search_time_ = nullptr;
     return;
   }
   literals_scored_ = metrics->counter("train.literals_scored");
-  index_hits_ = metrics->counter("train.index.hits");
   search_time_ = metrics->timer("train.phase.literal_search_seconds");
 }
 
@@ -98,16 +81,13 @@ void LiteralSearcher::CountNew(const IdPairs& pairs, size_t lo, size_t hi,
 }
 
 CandidateLiteral LiteralSearcher::FindBest(RelId rel_id, const IdPairs& pairs,
-                                           const CrossMineOptions& opts,
-                                           bool identity_pairs) {
+                                           const CrossMineOptions& opts) {
   CM_CHECK(alive_ != nullptr);
   const Relation& rel = db_->relation(rel_id);
   CM_CHECK(pairs.empty() || PairTuple(pairs.back()) < rel.num_tuples());
-  identity_ = identity_pairs;
 
   Stopwatch watch;
   offered_ = 0;
-  hits_ = 0;
   runs_.clear();
   for (size_t lo = 0; lo < pairs.size(); lo = TupleRunEnd(pairs, lo)) {
     runs_.push_back(static_cast<uint32_t>(lo));
@@ -134,7 +114,6 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id, const IdPairs& pairs,
     SearchAggregations(rel, pairs, &best);
   }
   if (literals_scored_ != nullptr) literals_scored_->Add(offered_);
-  if (index_hits_ != nullptr && hits_ != 0) index_hits_->Add(hits_);
   if (search_time_ != nullptr) search_time_->AddSeconds(watch.ElapsedSeconds());
   return best;
 }
@@ -146,72 +125,42 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
   const AttrIndex& index = *handle;
   const size_t num_values = index.num_values();
 
-  if (!identity_) {
-    // Counting-sort the tuple runs by value index. NULL satisfies no
-    // category, so NULL runs land in a trailing bucket no value reads.
-    // Placement advances each bucket's cursor to its end, leaving the runs
-    // of value v at order_[v == 0 ? 0 : bucket_[v - 1], bucket_[v]).
-    const Column<int64_t>& col = rel.IntColumn(attr);
-    const size_t num_runs = runs_.size() - 1;
-    run_value_.resize(num_runs);
-    bucket_.assign(num_values + 1, 0);
-    for (size_t r = 0; r < num_runs; ++r) {
-      const int64_t value = col[PairTuple(pairs[runs_[r]])];
-      const size_t v =
-          value == kNullValue ? num_values : index.FindValue(value);
-      CM_CHECK(v != AttrIndex::npos);
-      run_value_[r] = static_cast<uint32_t>(v);
-      ++bucket_[v];
-    }
-    uint32_t start = 0;
-    for (uint32_t& b : bucket_) {
-      const uint32_t count = b;
-      b = start;
-      start += count;
-    }
-    order_.resize(num_runs);
-    for (size_t r = 0; r < num_runs; ++r) {
-      order_[bucket_[run_value_[r]]++] = static_cast<uint32_t>(r);
-    }
+  // Counting-sort the tuple runs by value index. NULL satisfies no
+  // category, so NULL runs land in a trailing bucket no value reads.
+  // Placement advances each bucket's cursor to its end, leaving the runs
+  // of value v at order_[v == 0 ? 0 : bucket_[v - 1], bucket_[v]).
+  const Column<int64_t>& col = rel.IntColumn(attr);
+  const size_t num_runs = runs_.size() - 1;
+  run_value_.resize(num_runs);
+  bucket_.assign(num_values + 1, 0);
+  for (size_t r = 0; r < num_runs; ++r) {
+    const int64_t value = col[PairTuple(pairs[runs_[r]])];
+    const size_t v = value == kNullValue ? num_values : index.FindValue(value);
+    CM_CHECK(v != AttrIndex::npos);
+    run_value_[r] = static_cast<uint32_t>(v);
+    ++bucket_[v];
+  }
+  uint32_t start = 0;
+  for (uint32_t& b : bucket_) {
+    const uint32_t count = b;
+    b = start;
+    start += count;
+  }
+  order_.resize(num_runs);
+  for (size_t r = 0; r < num_runs; ++r) {
+    order_[bucket_[run_value_[r]]++] = static_cast<uint32_t>(r);
   }
 
-  const std::vector<uint8_t>& alive = *alive_;
-  const std::vector<uint8_t>& positive = *positive_;
-  size_t words = alive_pos_words_.size();
-  const uint64_t* pos_words = alive_pos_words_.data();
-  const uint64_t* neg_words = alive_neg_words_.data();
   // `index.values` ascends, so candidates are offered — and gain ties
   // broken — in category-value order.
   for (size_t v = 0; v < num_values; ++v) {
     uint32_t pos_cov = 0, neg_cov = 0;
-    if (identity_) {
-      // Node 0 (pairs = {(t, t) : alive[t]}): the posting itself is the
-      // covered-target set, so count it directly against the class masks
-      // without touching the pairs.
-      const uint64_t* pw = index.posting_words(v);
-      if (pw != nullptr) {
-        pos_cov = static_cast<uint32_t>(
-            bitmap_ops::AndPopcount(pw, pos_words, words));
-        neg_cov = static_cast<uint32_t>(
-            bitmap_ops::AndPopcount(pw, neg_words, words));
-        ++hits_;
-      } else {
-        const TupleId* tuples = index.posting(v);
-        const uint32_t n = index.posting_count(v);
-        for (uint32_t i = 0; i < n; ++i) {
-          TupleId id = tuples[i];
-          if (!alive[id]) continue;
-          ++*(positive[id] ? &pos_cov : &neg_cov);
-        }
-      }
-    } else {
-      const uint32_t begin = v == 0 ? 0 : bucket_[v - 1];
-      const uint32_t end = bucket_[v];
-      if (begin < end) NewEpoch();
-      for (uint32_t i = begin; i < end; ++i) {
-        const uint32_t r = order_[i];
-        CountNew(pairs, runs_[r], runs_[r + 1], &pos_cov, &neg_cov);
-      }
+    const uint32_t begin = v == 0 ? 0 : bucket_[v - 1];
+    const uint32_t end = bucket_[v];
+    if (begin < end) NewEpoch();
+    for (uint32_t i = begin; i < end; ++i) {
+      const uint32_t r = order_[i];
+      CountNew(pairs, runs_[r], runs_[r + 1], &pos_cov, &neg_cov);
     }
     Constraint c;
     c.attr = attr;
@@ -254,26 +203,6 @@ void LiteralSearcher::SearchNumerical(const Relation& rel, AttrId attr,
                                       const IdPairs& pairs,
                                       CandidateLiteral* best) {
   const Column<double>& col = rel.DoubleColumn(attr);
-
-  if (identity_) {
-    // Node 0: each sweep step over the sorted index covers exactly its own
-    // tuple, so the cumulative counts are direct class checks.
-    std::shared_ptr<const std::vector<TupleId>> order_handle =
-        rel.GetSortedIndex(attr);
-    const std::vector<TupleId>& order = *order_handle;
-    const std::vector<uint8_t>& alive = *alive_;
-    const std::vector<uint8_t>& positive = *positive_;
-    ++hits_;
-    SweepThresholds(
-        order.size(), attr, AggOp::kNone,
-        [&](size_t i) { return col[order[i]]; },
-        [&](size_t i, uint32_t* pos_cov, uint32_t* neg_cov) {
-          TupleId t = order[i];
-          if (alive[t]) ++*(positive[t] ? pos_cov : neg_cov);
-        },
-        best);
-    return;
-  }
 
   // The frontier's tuple runs in (value, tuple) order: the sorted index
   // restricted to tuples that carry ids. Each step counts its run's newly

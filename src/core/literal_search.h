@@ -46,9 +46,7 @@ struct CandidateLiteral {
 ///    order, the summation order `ApplyConstraint` uses.
 ///
 /// The clause's node 0 (the target relation itself, `idset(t) = {t}` for
-/// alive t) may instead be searched straight off the relation's cached
-/// `AttrIndex` postings and sorted index (`identity_pairs`), counting
-/// dense postings with the `bitmap_ops` AND+popcount kernel.
+/// alive t) is searched the same way, over its `(t, t)` pairs.
 ///
 /// The golden models and the brute-force oracles in `literal_search_test.cc`
 /// / `property_test.cc` referee the counts.
@@ -67,23 +65,14 @@ class LiteralSearcher {
                   uint32_t neg);
 
   /// Attaches a metrics registry (borrowed; null detaches). `FindBest`
-  /// then accumulates scan wall time into `train.phase.literal_search_seconds`,
-  /// one `train.literals_scored` tick per candidate offered to the gain
-  /// comparison, and one `train.index.hits` tick per counting served by a
-  /// node-0 index (per categorical value counted by the word-parallel
-  /// kernel, per numerical sweep over the sorted index). Counting never
-  /// alters which literal wins.
+  /// then accumulates scan wall time into `train.phase.literal_search_seconds`
+  /// and one `train.literals_scored` tick per candidate offered to the gain
+  /// comparison. Counting never alters which literal wins.
   void set_metrics(MetricsRegistry* metrics);
 
   /// Best constraint on `rel` given its (tuple, id) `pairs`.
-  /// `identity_pairs` asserts the caller-known invariant that the pairs are
-  /// exactly `(t, t)` for every alive target t (the clause's node 0):
-  /// categorical and numerical counting then read straight off the
-  /// relation's indexes without touching the pairs. The winner is the same
-  /// with it off.
   CandidateLiteral FindBest(RelId rel, const IdPairs& pairs,
-                            const CrossMineOptions& opts,
-                            bool identity_pairs = false);
+                            const CrossMineOptions& opts);
 
  private:
   void SearchCategorical(const Relation& rel, AttrId attr,
@@ -129,13 +118,6 @@ class LiteralSearcher {
   std::vector<uint32_t> agg_count_;
   std::vector<double> agg_sum_;
 
-  /// The alive targets of each class as kernel operands for node-0
-  /// counting, rebuilt by `SetContext`. `identity_` is the per-`FindBest`
-  /// node-0 hint.
-  std::vector<uint64_t> alive_pos_words_;
-  std::vector<uint64_t> alive_neg_words_;
-  bool identity_ = false;
-
   /// Per-`FindBest` frontier scratch: `runs_` holds the start of every
   /// tuple run of the pairs (plus an end sentinel); `run_value_`,
   /// `bucket_` and `order_` are the categorical counting sort;
@@ -146,14 +128,12 @@ class LiteralSearcher {
   std::vector<uint32_t> order_;
   std::vector<std::pair<double, uint32_t>> sorted_runs_;
 
-  /// Cached metric handles (null when detached). `offered_` / `hits_` batch
-  /// the per-candidate counts locally during one `FindBest` so the hot
-  /// `Offer` path never touches an atomic; they are flushed once per call.
+  /// Cached metric handles (null when detached). `offered_` batches the
+  /// per-candidate count locally during one `FindBest` so the hot `Offer`
+  /// path never touches an atomic; it is flushed once per call.
   Counter* literals_scored_ = nullptr;
-  Counter* index_hits_ = nullptr;
   Timer* search_time_ = nullptr;
   mutable uint64_t offered_ = 0;
-  mutable uint64_t hits_ = 0;
 };
 
 }  // namespace crossmine

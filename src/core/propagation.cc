@@ -57,7 +57,8 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
   }
   // A key source (PK -> FK edge) already walks its values in order.
   if (!std::is_sorted(sc.keys.begin(), sc.keys.end())) {
-    std::sort(sc.keys.begin(), sc.keys.end());
+    SortPairs(&sc.keys, &sc.tmp);
+    ++sc.key_sorts;
   }
   sc.keys.erase(std::unique(sc.keys.begin(), sc.keys.end()), sc.keys.end());
 
@@ -97,7 +98,8 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
   }
   // Each value reaching one key tuple (FK -> PK edge) keeps value order.
   if (!std::is_sorted(sc.dests.begin(), sc.dests.end())) {
-    std::sort(sc.dests.begin(), sc.dests.end());
+    SortPairs(&sc.dests, &sc.tmp);
+    ++sc.dest_sorts;
   }
   result.pairs.reserve(total);
   for (IdPair d : sc.dests) {

@@ -43,6 +43,12 @@ struct PropagationScratch {
   std::vector<uint32_t> groups;
   /// (destination tuple, value run) per reached destination tuple
   IdPairs dests;
+  /// `SortPairs` ping-pong buffer for `keys` and `dests`
+  IdPairs tmp;
+  /// Sorts run on `keys` / `dests`: the already-ordered inputs skip theirs.
+  /// Coverage counts for tests; nothing reads them on the hot path.
+  uint64_t key_sorts = 0;
+  uint64_t dest_sorts = 0;
 };
 
 /// Propagates IDs along `edge` (Definition 2): every destination tuple `u`
@@ -55,15 +61,18 @@ struct PropagationScratch {
 ///
 /// The walk costs what the source pairs reach: each source tuple run probes
 /// the destination's `AttrIndex` once (NULL never matches, SQL semantics),
-/// and its ids are merged per join value. The §4.3 guards are judged on the
+/// and its ids are merged per join value by a radix sort (`SortPairs`) of
+/// their `(value index, id)` keys. The §4.3 guards are judged on the
 /// per-value volumes (`|merged idset| × posting count`) before any output
 /// pair exists, so a rejected edge allocates nothing. Only then are the
-/// pairs written, in destination-tuple order.
+/// reached destination tuples radix-sorted and the pairs written, in
+/// destination-tuple order. Either sort is skipped when its input is
+/// already ordered.
 ///
 /// Training (`ClauseBuilder`) and prediction (`EvaluateClause`) share this
 /// routine; prediction passes no limits.
 ///
-/// `scratch` (optional) reuses the grouping buffers across calls.
+/// `scratch` (optional) reuses the grouping and sort buffers across calls.
 PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
                                const IdPairs& src,
                                const std::vector<uint8_t>* alive,

@@ -1,10 +1,10 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/memadvise.h"
-#include "core/bitmap_ops.h"
 #include "relational/index_cache.h"
 
 namespace crossmine {
@@ -41,25 +41,51 @@ void RecordSource(const Column<T>& col, IndexCache::Artifact* artifact) {
   artifact->source_len = col.size() * sizeof(T);
 }
 
-IndexCache::Artifact BuildAttrIndex(const Column<int64_t>& col,
-                                    TupleId num_tuples, bool with_bitmaps) {
-  AdviseBuildScan(col);
-  auto index = std::make_shared<AttrIndex>();
-  index->words_per_value =
-      static_cast<uint32_t>(bitmap_ops::WordsForBits(num_tuples));
+// Slack of `DenseValueRange`: small columns always take the counting sort.
+constexpr uint64_t kDenseRangeSlack = 1024;
 
-  // Sort (value, tuple) pairs: distinct values come out ascending and each
-  // posting list ascending (pairs with equal value order by tuple id).
-  index->values.reserve(64);
-  std::vector<std::pair<int64_t, TupleId>> pairs;
-  pairs.reserve(col.size());
-  for (TupleId t = 0; t < num_tuples; ++t) {
+// Counting sort over the value range [lo, lo + span] of `count` non-NULL
+// values. Offsets into the range are taken in unsigned arithmetic, so values
+// near INT64_MIN or INT64_MAX cannot overflow.
+void BuildByCounting(const int64_t* col, TupleId n, int64_t lo, uint64_t span,
+                     size_t count, AttrIndex* index) {
+  const uint64_t base = static_cast<uint64_t>(lo);
+  std::vector<uint32_t> cursor(span + 1, 0);
+  size_t distinct = 0;
+  for (TupleId t = 0; t < n; ++t) {
     if (col[t] == kNullValue) continue;
-    pairs.emplace_back(col[t], t);
+    if (cursor[static_cast<uint64_t>(col[t]) - base]++ == 0) ++distinct;
+  }
+  index->values.reserve(distinct);
+  index->offsets.reserve(distinct + 1);
+  uint32_t start = 0;
+  for (uint64_t off = 0; off <= span; ++off) {
+    const uint32_t c = cursor[off];
+    if (c == 0) continue;
+    index->values.push_back(static_cast<int64_t>(base + off));
+    index->offsets.push_back(start);
+    cursor[off] = start;
+    start += c;
+  }
+  index->offsets.push_back(start);
+  index->postings.resize(count);
+  for (TupleId t = 0; t < n; ++t) {
+    if (col[t] == kNullValue) continue;
+    index->postings[cursor[static_cast<uint64_t>(col[t]) - base]++] = t;
+  }
+}
+
+// Sorts (value, tuple) pairs: distinct values come out ascending and each
+// posting list ascending (pairs with equal value order by tuple id).
+void BuildBySort(const int64_t* col, TupleId n, size_t count,
+                 AttrIndex* index) {
+  std::vector<std::pair<int64_t, TupleId>> pairs;
+  pairs.reserve(count);
+  for (TupleId t = 0; t < n; ++t) {
+    if (col[t] != kNullValue) pairs.emplace_back(col[t], t);
   }
   std::sort(pairs.begin(), pairs.end());
-
-  index->postings.reserve(pairs.size());
+  index->postings.reserve(count);
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (index->values.empty() || pairs[i].first != index->values.back()) {
       index->values.push_back(pairs[i].first);
@@ -68,32 +94,6 @@ IndexCache::Artifact BuildAttrIndex(const Column<int64_t>& col,
     index->postings.push_back(pairs[i].second);
   }
   index->offsets.push_back(static_cast<uint32_t>(pairs.size()));
-
-  // Promote high-cardinality postings to dense bitmaps: past 2 * words the
-  // bitmap is at most half the sorted list's footprint, and counting turns
-  // into AND+popcount.
-  // Only literal scoring reads bitmaps, so key attributes (with_bitmaps ==
-  // false) keep postings only and stay cheap against the memory budget.
-  index->word_offs.assign(index->values.size(), AttrIndex::kNoBitmap);
-  if (with_bitmaps) {
-    uint32_t break_even = std::max<uint32_t>(16, 2 * index->words_per_value);
-    for (size_t v = 0; v < index->values.size(); ++v) {
-      if (index->posting_count(v) < break_even) continue;
-      uint32_t off = static_cast<uint32_t>(index->words.size());
-      index->words.resize(off + index->words_per_value, 0);
-      uint64_t* w = index->words.data() + off;
-      const TupleId* ids = index->posting(v);
-      uint32_t n = index->posting_count(v);
-      for (uint32_t i = 0; i < n; ++i) bitmap_ops::SetBit(w, ids[i]);
-      index->word_offs[v] = off;
-    }
-  }
-
-  IndexCache::Artifact artifact;
-  artifact.bytes = index->bytes();
-  artifact.data = std::move(index);
-  RecordSource(col, &artifact);
-  return artifact;
 }
 
 IndexCache::Artifact BuildSortedIndex(const Column<double>& col,
@@ -112,6 +112,34 @@ IndexCache::Artifact BuildSortedIndex(const Column<double>& col,
 }
 
 }  // namespace
+
+bool DenseValueRange(uint64_t span, size_t count) {
+  return span <= 2 * uint64_t{count} + kDenseRangeSlack;
+}
+
+AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool force_sort) {
+  size_t count = 0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (TupleId t = 0; t < n; ++t) {
+    if (col[t] == kNullValue) continue;
+    ++count;
+    lo = std::min(lo, col[t]);
+    hi = std::max(hi, col[t]);
+  }
+  AttrIndex index;
+  if (count == 0) {
+    index.offsets.push_back(0);
+    return index;
+  }
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (!force_sort && DenseValueRange(span, count)) {
+    BuildByCounting(col, n, lo, span, count, &index);
+  } else {
+    BuildBySort(col, n, count, &index);
+  }
+  return index;
+}
 
 Relation::Relation(RelationSchema schema)
     : schema_(std::move(schema)), cache_id_(IndexCache::Global().NewOwnerId()) {
@@ -195,11 +223,17 @@ std::shared_ptr<const AttrIndex> Relation::GetAttrIndex(AttrId a) const {
   CM_CHECK(schema_.IsIntAttr(a));
   CM_CHECK(cache_id_ != 0);
   const Column<int64_t>& col = int_cols_[idx];
-  const bool with_bitmaps = schema_.attr(a).kind == AttrKind::kCategorical;
   const TupleId n = num_tuples_;
   std::shared_ptr<const void> artifact = IndexCache::Global().Get(
-      cache_id_, SlotOf(idx, kAttrIndexSlot), version_,
-      [&col, n, with_bitmaps] { return BuildAttrIndex(col, n, with_bitmaps); });
+      cache_id_, SlotOf(idx, kAttrIndexSlot), version_, [&col, n] {
+        AdviseBuildScan(col);
+        auto index = std::make_shared<AttrIndex>(BuildAttrIndex(col.data(), n));
+        IndexCache::Artifact built;
+        built.bytes = index->bytes();
+        built.data = std::move(index);
+        RecordSource(col, &built);
+        return built;
+      });
   return std::static_pointer_cast<const AttrIndex>(artifact);
 }
 

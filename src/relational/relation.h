@@ -102,33 +102,17 @@ class Column {
 /// bindings, shard closure BFS) through `FindValue` + `posting`, and literal
 /// scoring through ascending `values` iteration. Distinct values ascend;
 /// each posting list holds its tuple ids ascending with NULLs (`kNullValue`)
-/// excluded, matching SQL join semantics. This replaces the old
-/// `std::unordered_map`-based HashIndex: sorted values iterate in exactly
-/// the order the legacy paths got by sorting hash keys, and binary-searched
-/// probes return the identical ascending posting a hash lookup did, so
-/// models are byte-for-byte unchanged.
+/// excluded, matching SQL join semantics.
 ///
-/// For *categorical* attributes, values whose posting reaches the dense
-/// break-even threshold (`max(16, 2 * words_per_value)` — the cardinality
-/// where a `num_tuples / 8`-byte bitmap is no larger than the 4-byte-per-id
-/// sorted list) additionally carry a dense bitmap over tuple ids for
-/// word-parallel AND+popcount counting of node-0 literals.
-/// Key attributes skip bitmap promotion: joins only ever walk postings, so
-/// the bitmaps would be dead weight against the memory budget.
-///
-/// Built per relation version on demand and owned by the global
-/// `IndexCache` (`Relation::GetAttrIndex`), which may evict and
+/// Built by `BuildAttrIndex` per relation version on demand and owned by the
+/// global `IndexCache` (`Relation::GetAttrIndex`), which may evict and
 /// transparently rebuild it under a memory budget.
 struct AttrIndex {
-  static constexpr uint32_t kNoBitmap = ~uint32_t{0};
   static constexpr size_t npos = ~size_t{0};
 
-  std::vector<int64_t> values;      ///< distinct values, ascending
-  std::vector<uint32_t> offsets;    ///< CSR: values.size() + 1 entries
-  std::vector<TupleId> postings;    ///< concatenated ascending tuple ids
-  std::vector<uint32_t> word_offs;  ///< per value: into words, or kNoBitmap
-  std::vector<uint64_t> words;      ///< dense posting bitmaps
-  uint32_t words_per_value = 0;     ///< ceil(num_tuples / 64)
+  std::vector<int64_t> values;    ///< distinct values, ascending
+  std::vector<uint32_t> offsets;  ///< CSR: values.size() + 1 entries
+  std::vector<TupleId> postings;  ///< concatenated ascending tuple ids
 
   size_t num_values() const { return values.size(); }
   uint32_t posting_count(size_t v) const {
@@ -150,19 +134,29 @@ struct AttrIndex {
     if (it == values.end() || *it != value) return npos;
     return static_cast<size_t>(it - values.begin());
   }
-  /// Dense bitmap of value `v`'s posting, or null if below break-even.
-  const uint64_t* posting_words(size_t v) const {
-    return word_offs[v] == kNoBitmap ? nullptr : words.data() + word_offs[v];
-  }
   /// Heap footprint, for budget accounting and the `train.index.*` metrics.
   uint64_t bytes() const {
     return values.capacity() * sizeof(int64_t) +
            offsets.capacity() * sizeof(uint32_t) +
-           postings.capacity() * sizeof(TupleId) +
-           word_offs.capacity() * sizeof(uint32_t) +
-           words.capacity() * sizeof(uint64_t);
+           postings.capacity() * sizeof(TupleId);
   }
 };
+
+/// True when `count` non-NULL values spanning `span + 1` consecutive
+/// integers are dense enough for `BuildAttrIndex`'s counting sort: its count
+/// table, one 4-byte slot per integer of the range, then has at most about
+/// twice as many slots as there are values. Dictionary codes and surrogate
+/// keys always are.
+bool DenseValueRange(uint64_t span, size_t count);
+
+/// Builds the index over the `n` values of `col`. A column whose non-NULL
+/// values satisfy `DenseValueRange(max - min, count)` is counting-sorted:
+/// one pass counts each value, a prefix sum over the range lays out the CSR,
+/// and a second pass places the tuples in ascending order, so every posting
+/// ascends with no comparison sort. Any other (sparse) column sorts its
+/// (value, tuple) pairs. `force_sort` takes the comparison sort regardless;
+/// tests use it to check that both paths build the same index.
+AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool force_sort = false);
 
 /// Columnar relation. Key and categorical attributes are stored as
 /// `int64_t` columns (categorical values are dictionary codes), numerical
@@ -261,8 +255,8 @@ class Relation {
   std::shared_ptr<const AttrIndex> GetAttrIndex(AttrId a) const;
 
   /// Tuple ids sorted ascending by the numerical attribute's value (built
-  /// on demand in the IndexCache, same pinning rule). Used for the paper's
-  /// numerical-literal sweeps (§5.1).
+  /// on demand in the IndexCache, same pinning rule). Training does not read
+  /// it: the numerical-literal sweeps (§5.1) sort only the frontier's runs.
   std::shared_ptr<const std::vector<TupleId>> GetSortedIndex(AttrId a) const;
 
   /// Distinct values of a categorical attribute actually present (sorted).

@@ -1,6 +1,7 @@
 // AttrIndex correctness: the cached inverted index must list exactly the
-// column's non-NULL (value, tuple) pairs in CSR form, promote dense values
-// to bitmaps per the break-even rule, and rebuild after mutations.
+// column's non-NULL (value, tuple) pairs in CSR form, build the same index
+// by counting sort (dense value ranges) and by comparison sort (sparse
+// ones), and rebuild after mutations.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/bitmap_ops.h"
+#include "common/random.h"
 #include "datagen/synthetic.h"
 #include "relational/database.h"
 #include "test_util.h"
@@ -19,36 +20,28 @@
 namespace crossmine {
 namespace {
 
-/// Rebuilds the expected value -> sorted posting map straight from the
-/// column, the reference the index is checked against.
-std::map<int64_t, std::vector<TupleId>> ReferencePostings(const Relation& rel,
-                                                          AttrId a) {
-  std::map<int64_t, std::vector<TupleId>> ref;
-  const Column<int64_t>& col = rel.IntColumn(a);
-  for (TupleId t = 0; t < rel.num_tuples(); ++t) {
+using Postings = std::map<int64_t, std::vector<TupleId>>;
+
+/// The expected value -> sorted posting map of a column, built by a plain
+/// walk: the reference every index is checked against.
+Postings ReferencePostings(const int64_t* col, TupleId n) {
+  Postings ref;
+  for (TupleId t = 0; t < n; ++t) {
     if (col[t] != kNullValue) ref[col[t]].push_back(t);
   }
   return ref;
 }
 
-void CheckIndexAgainstColumn(const Relation& rel, AttrId a) {
-  std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(a);
-  const AttrIndex& index = *handle;
-  std::map<int64_t, std::vector<TupleId>> ref = ReferencePostings(rel, a);
+Postings ReferencePostings(const Relation& rel, AttrId a) {
+  return ReferencePostings(rel.IntColumn(a).data(), rel.num_tuples());
+}
 
-  ASSERT_EQ(index.num_values(), ref.size()) << rel.name();
-  EXPECT_EQ(index.words_per_value,
-            bitmap_ops::WordsForBits(rel.num_tuples()));
+void ExpectIndexMatches(const AttrIndex& index, const Postings& ref) {
+  ASSERT_EQ(index.num_values(), ref.size());
   EXPECT_TRUE(std::is_sorted(index.values.begin(), index.values.end()));
   ASSERT_EQ(index.offsets.size(), index.num_values() + 1);
   EXPECT_EQ(index.offsets.front(), 0u);
   EXPECT_EQ(index.offsets.back(), index.postings.size());
-
-  // Only literal scoring reads bitmaps, so the unified index promotes them
-  // for categorical attributes; key attributes (join-only) never carry one.
-  const bool categorical = rel.schema().attr(a).kind == AttrKind::kCategorical;
-  const uint32_t break_even =
-      std::max<uint32_t>(16, 2 * index.words_per_value);
   auto it = ref.begin();
   for (size_t v = 0; v < index.num_values(); ++v, ++it) {
     EXPECT_EQ(index.values[v], it->first);
@@ -58,24 +51,45 @@ void CheckIndexAgainstColumn(const Relation& rel, AttrId a) {
     for (size_t i = 0; i < it->second.size(); ++i) {
       EXPECT_EQ(ids[i], it->second[i]);
     }
-    const uint64_t* words = index.posting_words(v);
-    if (!categorical) {
-      EXPECT_EQ(words, nullptr)
-          << rel.name() << ": key attribute carries a dead bitmap";
-    } else if (index.posting_count(v) >= break_even) {
-      ASSERT_NE(words, nullptr)
-          << rel.name() << ": value " << it->first << " with "
-          << index.posting_count(v) << " postings missed bitmap promotion";
-    }
-    if (words != nullptr) {
-      // The bitmap is an exact dense rendering of the posting list.
-      EXPECT_EQ(bitmap_ops::Popcount(words, index.words_per_value),
-                index.posting_count(v));
-      for (TupleId id : it->second) {
-        EXPECT_TRUE(bitmap_ops::TestBit(words, id));
-      }
-    }
   }
+  EXPECT_EQ(index.FindValue(kNullValue), AttrIndex::npos);
+}
+
+void CheckIndexAgainstColumn(const Relation& rel, AttrId a) {
+  SCOPED_TRACE(rel.name());
+  std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(a);
+  ExpectIndexMatches(*handle, ReferencePostings(rel, a));
+}
+
+/// Whether `col` takes the counting-sort build: its non-NULL range, taken
+/// in unsigned arithmetic, is dense. False when no value is non-NULL.
+bool TakesCountingSort(const std::vector<int64_t>& col) {
+  size_t count = 0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (int64_t v : col) {
+    if (v == kNullValue) continue;
+    ++count;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return count > 0 &&
+         DenseValueRange(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo),
+                         count);
+}
+
+/// Builds `col` through the automatic path and the forced comparison sort:
+/// both must equal the reference and each other.
+void ExpectBuildPathsAgree(const std::vector<int64_t>& col) {
+  const TupleId n = static_cast<TupleId>(col.size());
+  const Postings ref = ReferencePostings(col.data(), n);
+  const AttrIndex chosen = BuildAttrIndex(col.data(), n);
+  const AttrIndex sorted = BuildAttrIndex(col.data(), n, /*force_sort=*/true);
+  ExpectIndexMatches(chosen, ref);
+  ExpectIndexMatches(sorted, ref);
+  EXPECT_EQ(chosen.values, sorted.values);
+  EXPECT_EQ(chosen.offsets, sorted.offsets);
+  EXPECT_EQ(chosen.postings, sorted.postings);
 }
 
 TEST(AttrIndexTest, MatchesColumnOnFig2) {
@@ -93,25 +107,25 @@ TEST(AttrIndexTest, MatchesColumnOnFig2) {
 TEST(AttrIndexTest, MatchesColumnOnGeneratedDatabases) {
   datagen::SyntheticConfig cfg;
   cfg.num_relations = 6;
-  cfg.expected_tuples = 400;  // enough tuples to cross bitmap break-even
+  cfg.expected_tuples = 400;
   cfg.seed = 29;
   StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
   ASSERT_TRUE(db.ok());
-  bool saw_bitmap = false;
   for (RelId r = 0; r < db->num_relations(); ++r) {
     const Relation& rel = db->relation(r);
     for (AttrId a = 0; a < static_cast<AttrId>(rel.schema().num_attrs());
          ++a) {
       if (!rel.schema().IsIntAttr(a)) continue;
       CheckIndexAgainstColumn(rel, a);
-      std::shared_ptr<const AttrIndex> index = rel.GetAttrIndex(a);
-      for (size_t v = 0; v < index->num_values(); ++v) {
-        saw_bitmap = saw_bitmap || index->posting_words(v) != nullptr;
-      }
+      // Dictionary codes and surrogate keys are dense: every generated
+      // column takes the counting sort.
+      const Column<int64_t>& col = rel.IntColumn(a);
+      EXPECT_TRUE(TakesCountingSort({col.begin(), col.end()}) ||
+                  std::all_of(col.begin(), col.end(),
+                              [](int64_t v) { return v == kNullValue; }))
+          << rel.name() << " attr " << a;
     }
   }
-  EXPECT_TRUE(saw_bitmap)
-      << "config never promoted a value to bitmap; the dense path is untested";
 }
 
 TEST(AttrIndexTest, CachedUntilMutationThenRebuilt) {
@@ -133,6 +147,96 @@ TEST(AttrIndexTest, CachedUntilMutationThenRebuilt) {
   ASSERT_EQ(rebuilt.posting_count(v), 1u);
   EXPECT_EQ(rebuilt.posting(v)[0], 0u);
   CheckIndexAgainstColumn(rel, f.account_frequency);
+}
+
+// Edge columns through both build paths. The automatic choice must be the
+// expected one, and both paths must build the reference index.
+TEST(AttrIndexTest, BuildPathsAgreeOnEdgeColumns) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(0xa77);
+  std::vector<int64_t> dense, sparse, heavy;
+  for (int i = 0; i < 3000; ++i) {
+    const bool null = rng.Bernoulli(0.1);
+    dense.push_back(null ? kNullValue
+                         : static_cast<int64_t>(rng.Uniform(2000)));
+    // 50 values 10^6 apart: far too wide a range for the count table.
+    sparse.push_back(null ? kNullValue
+                          : static_cast<int64_t>(rng.Uniform(50)) * 1000003);
+    heavy.push_back(static_cast<int64_t>(rng.Uniform(3)) - 5);
+  }
+  struct Case {
+    const char* name;
+    std::vector<int64_t> col;
+    bool counting;
+  };
+  const std::vector<Case> cases = {
+      {"dense", dense, true},
+      {"sparse", sparse, false},
+      {"heavy duplicates, negative", heavy, true},
+      // Negative values other than NULL, with NULL (-1) inside the range.
+      {"negatives", {-7, 3, -2, kNullValue, -7, 0, -3, 3, -2, -1000}, true},
+      {"int64 extremes", {kMax, kMin, kNullValue, 0, kMax, kMin, 5}, false},
+      {"dense at INT64_MAX", {kMax, kMax - 2, kNullValue, kMax}, true},
+      {"dense at INT64_MIN", {kMin + 1, kMin, kMin + 1}, true},
+      {"all NULL", {kNullValue, kNullValue, kNullValue}, false},
+      {"one value", {42, 42, kNullValue, 42}, true},
+      {"empty", {}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(TakesCountingSort(c.col), c.counting);
+    ExpectBuildPathsAgree(c.col);
+  }
+}
+
+TEST(AttrIndexTest, EmptyRelationHasEmptyIndex) {
+  RelationSchema schema("Empty");
+  schema.AddPrimaryKey("id");
+  schema.AddCategorical("c");
+  Relation rel(schema);
+  for (AttrId a = 0; a < 2; ++a) {
+    std::shared_ptr<const AttrIndex> index = rel.GetAttrIndex(a);
+    EXPECT_EQ(index->num_values(), 0u);
+    EXPECT_EQ(index->offsets, std::vector<uint32_t>{0});
+    EXPECT_TRUE(index->postings.empty());
+    EXPECT_EQ(index->FindValue(0), AttrIndex::npos);
+  }
+}
+
+// A SetInt that widens a dense column past the counting-sort range must
+// rebuild through the comparison sort, and narrowing it again must come
+// back through the counting sort, each time matching the reference.
+TEST(AttrIndexTest, RebuildAfterSetIntSwitchesBuildPath) {
+  RelationSchema schema("Codes");
+  schema.AddPrimaryKey("id");
+  schema.AddCategorical("c");
+  Relation rel(schema);
+  Rng rng(91);
+  for (int i = 0; i < 500; ++i) {
+    const TupleId t = rel.AddTuple();
+    rel.SetInt(t, 0, t);
+    rel.SetInt(t, 1, static_cast<int64_t>(rng.Uniform(12)));
+  }
+  auto column = [&rel] {
+    const Column<int64_t>& col = rel.IntColumn(1);
+    return std::vector<int64_t>(col.begin(), col.end());
+  };
+  ASSERT_TRUE(TakesCountingSort(column()));
+  CheckIndexAgainstColumn(rel, 1);
+
+  rel.SetInt(7, 1, int64_t{1} << 40);
+  ASSERT_FALSE(TakesCountingSort(column()));
+  CheckIndexAgainstColumn(rel, 1);
+  EXPECT_EQ(rel.GetAttrIndex(1)->values.back(), int64_t{1} << 40);
+
+  rel.SetInt(7, 1, kNullValue);
+  ASSERT_TRUE(TakesCountingSort(column()));
+  CheckIndexAgainstColumn(rel, 1);
+  for (TupleId t : {TupleId{0}, TupleId{499}}) {
+    rel.SetInt(t, 1, -3);
+    CheckIndexAgainstColumn(rel, 1);
+  }
 }
 
 // FindValue answers dense keys (`values[v] == v`) without a search and

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <vector>
@@ -201,6 +202,92 @@ TEST_P(IdSetStorePropertyTest, MatchesNaiveSetReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IdSetStorePropertyTest,
                          ::testing::Range<uint64_t>(1, 17));
+
+// `SortPairs` (the radix sort of the propagation keys) must agree with
+// std::sort on every key shape: around the std::sort cutoff and at 10^5
+// keys; with only low bytes varying, with tuple and id >= 2^24 (bytes 3 and
+// 7 vary) and with only bytes 3 and 7 varying; all-equal, heavy-duplicate,
+// already sorted and reversed inputs; and with a reused `tmp` that starts
+// empty, smaller or larger than the input and full of stale keys.
+enum class KeyShape {
+  kLowBytes,
+  kWide,
+  kTopBytesOnly,
+  kAllEqual,
+  kHeavyDuplicates,
+  kSorted,
+  kReversed,
+};
+
+IdPairs MakeKeys(Rng* rng, KeyShape shape, size_t n) {
+  IdPairs keys(n);
+  for (IdPair& k : keys) {
+    switch (shape) {
+      case KeyShape::kLowBytes:
+      case KeyShape::kSorted:
+      case KeyShape::kReversed:
+        k = MakeIdPair(static_cast<TupleId>(rng->Uniform(200)),
+                       static_cast<uint32_t>(rng->Uniform(300)));
+        break;
+      case KeyShape::kWide:
+        k = MakeIdPair(static_cast<TupleId>((1u << 24) +
+                                            rng->Uniform(0xff000000u)),
+                       static_cast<uint32_t>((1u << 24) +
+                                             rng->Uniform(0xff000000u)));
+        break;
+      case KeyShape::kTopBytesOnly:
+        k = MakeIdPair(static_cast<TupleId>(rng->Uniform(256) << 24),
+                       static_cast<uint32_t>(rng->Uniform(256) << 24));
+        break;
+      case KeyShape::kAllEqual:
+        k = MakeIdPair(70000, 123456);
+        break;
+      case KeyShape::kHeavyDuplicates:
+        k = MakeIdPair(static_cast<TupleId>(rng->Uniform(3) * 65537),
+                       static_cast<uint32_t>(rng->Uniform(4) << 16));
+        break;
+    }
+  }
+  if (shape == KeyShape::kSorted) std::sort(keys.begin(), keys.end());
+  if (shape == KeyShape::kReversed) {
+    std::sort(keys.begin(), keys.end(), std::greater<IdPair>());
+  }
+  return keys;
+}
+
+TEST(SortPairsTest, MatchesStdSort) {
+  Rng rng(0x5027);
+  const size_t sizes[] = {0,
+                          1,
+                          kSortPairsCutoff - 1,
+                          kSortPairsCutoff,
+                          kSortPairsCutoff + 1,
+                          1000,
+                          100000};
+  const KeyShape shapes[] = {KeyShape::kLowBytes,  KeyShape::kWide,
+                             KeyShape::kTopBytesOnly, KeyShape::kAllEqual,
+                             KeyShape::kHeavyDuplicates, KeyShape::kSorted,
+                             KeyShape::kReversed};
+  IdPairs reused;  // carries stale keys of every earlier size along
+  for (size_t n : sizes) {
+    for (KeyShape shape : shapes) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " shape="
+                                        << static_cast<int>(shape));
+      const IdPairs input = MakeKeys(&rng, shape, n);
+      IdPairs want = input;
+      std::sort(want.begin(), want.end());
+
+      IdPairs fresh_tmp;
+      IdPairs small_tmp(n / 2, ~uint64_t{0});
+      IdPairs large_tmp(2 * n + 100, 0x0123456789abcdefULL);
+      for (IdPairs* tmp : {&fresh_tmp, &small_tmp, &large_tmp, &reused}) {
+        IdPairs keys = input;
+        SortPairs(&keys, tmp);
+        ASSERT_EQ(keys, want);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace crossmine

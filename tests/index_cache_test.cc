@@ -1,7 +1,7 @@
 // IndexCache behavior and unified-index equivalence. The randomized suite
 // pins the CSR index to the semantics of the retired per-relation
-// `HashIndex` (a value -> tuple-order-posting hash map) across the bitmap
-// promotion boundary; the budget tests pin the LRU/eviction/rebuild
+// `HashIndex` (a value -> tuple-order-posting hash map) from singleton to
+// dense postings; the budget tests pin the LRU/eviction/rebuild
 // accounting and prove that thrash-level budgets change *when* indexes
 // exist, never what they contain — trained models stay byte-identical, and
 // a `.cmdb`-backed train never materializes a borrowed column even while
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/bitmap_ops.h"
 #include "core/classifier.h"
 #include "core/model_io.h"
 #include "datagen/synthetic.h"
@@ -64,8 +63,7 @@ std::map<int64_t, std::vector<TupleId>> HashReference(const Relation& rel,
 }
 
 /// Full equivalence check of the unified index against the hash reference:
-/// same value set, same posting order, FindValue hit/miss behavior, and the
-/// promotion rule (bitmaps only for categorical attributes at break-even).
+/// same value set, same posting order and FindValue hit/miss behavior.
 void CheckHashEquivalence(const Relation& rel, AttrId a) {
   std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(a);
   const AttrIndex& index = *handle;
@@ -73,10 +71,6 @@ void CheckHashEquivalence(const Relation& rel, AttrId a) {
 
   ASSERT_EQ(index.num_values(), ref.size());
   EXPECT_TRUE(std::is_sorted(index.values.begin(), index.values.end()));
-  const bool categorical =
-      rel.schema().attr(a).kind == AttrKind::kCategorical;
-  const uint32_t break_even =
-      std::max<uint32_t>(16, 2 * index.words_per_value);
 
   auto it = ref.begin();
   for (size_t v = 0; v < index.num_values(); ++v, ++it) {
@@ -93,25 +87,12 @@ void CheckHashEquivalence(const Relation& rel, AttrId a) {
     if (!ref.count(it->first + 1)) {
       EXPECT_EQ(index.FindValue(it->first + 1), AttrIndex::npos);
     }
-    const uint64_t* words = index.posting_words(v);
-    if (!categorical) {
-      EXPECT_EQ(words, nullptr) << "key attribute carries a dead bitmap";
-    } else if (index.posting_count(v) >= break_even) {
-      ASSERT_NE(words, nullptr) << "missed bitmap promotion";
-    }
-    if (words != nullptr) {
-      EXPECT_EQ(bitmap_ops::Popcount(words, index.words_per_value),
-                index.posting_count(v));
-      for (TupleId id : it->second) {
-        EXPECT_TRUE(bitmap_ops::TestBit(words, id));
-      }
-    }
   }
   EXPECT_EQ(index.FindValue(kNullValue), AttrIndex::npos);
 }
 
-/// One target of each index kind: a categorical attribute (bitmap
-/// candidate) and a foreign key (join-only, postings only).
+/// One target of each int attribute kind: a categorical attribute (literal
+/// scoring) and a foreign key (join probes).
 RelationSchema ProbeSchema() {
   RelationSchema s("Probe");
   s.AddPrimaryKey("id");      // 0
@@ -122,9 +103,8 @@ RelationSchema ProbeSchema() {
 }
 
 TEST(IndexCacheEquivalenceTest, RandomizedAcrossPromotionBoundary) {
-  // Tuple counts and cardinalities chosen to land posting sizes on both
-  // sides of the break-even (max(16, 2 * words_per_value)): singletons,
-  // mid-size lists, and dense values well past promotion.
+  // Tuple counts and cardinalities chosen to span posting sizes from
+  // singletons through mid-size lists to values held by most tuples.
   const int tuple_counts[] = {8, 40, 200, 600};
   const int cardinalities[] = {1, 2, 7, 33};
   Rng rng(0x1dc5ca4eULL);

@@ -252,13 +252,12 @@ class LiteralSearchPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
                                         const IdPairs& pairs,
                                         const SearchSetup& s,
-                                        LiteralSearcher* searcher,
-                                        bool identity = false) {
+                                        LiteralSearcher* searcher) {
   const Relation& rel = db.relation(rel_id);
   CrossMineOptions opts;
   opts.use_numerical_literals = false;
   opts.use_aggregation_literals = false;
-  CandidateLiteral best = searcher->FindBest(rel_id, pairs, opts, identity);
+  CandidateLiteral best = searcher->FindBest(rel_id, pairs, opts);
   std::vector<IdSet> idsets = IdSetsFromPairs(pairs, rel.num_tuples());
   EXPECT_DOUBLE_EQ(best.gain,
                    BruteForceBestGain(rel, idsets, s.alive, s.positive, s.pos,
@@ -273,17 +272,18 @@ void ExpectCategoricalMatchesBruteForce(const Database& db, RelId rel_id,
   EXPECT_DOUBLE_EQ(best.gain, FoilGain(s.pos, s.neg, pos, neg));
 }
 
-/// Checks the node-0 identity search on the target and, for every edge out
-/// of the target, the search over alive-filtered and unfiltered propagated
-/// pairs (the latter keep dead targets, which counting must skip).
+/// Checks the search over the target's node-0 `(t, t)` pairs and, for every
+/// edge out of the target, the search over alive-filtered and unfiltered
+/// propagated pairs (the latter keep dead targets, which counting must
+/// skip).
 void ExpectEdgesMatchBruteForce(const Database& db, const SearchSetup& s) {
   LiteralSearcher searcher(&db, &s.positive);
   searcher.SetContext(&s.alive, s.pos, s.neg);
   std::vector<uint8_t> all(db.target_relation().num_tuples(), 1);
   IdPairs full_root = IdentityPairs(all);
   IdPairs alive_root = IdentityPairs(s.alive);
-  ExpectCategoricalMatchesBruteForce(db, db.target(), alive_root, s, &searcher,
-                                     /*identity=*/true);
+  ExpectCategoricalMatchesBruteForce(db, db.target(), alive_root, s,
+                                     &searcher);
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     PropagationResult filtered = PropagateIds(db, edge, alive_root, &s.alive);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -187,6 +188,94 @@ TEST(PropagationOracleTest, PairsVolumeGuardsAndRefreshMatchBruteForce) {
   EXPECT_GT(coverage.null_sources, 0) << "no NULL join value carried ids";
   EXPECT_GT(coverage.merged_values, 0) << "no destination merged sources";
   EXPECT_GT(coverage.rejections, 0) << "no guard rejection was checked";
+}
+
+// Relation widths past 2^16: the keys of an FK -> PK hop then vary in byte
+// 2 of both halves (value index and id), as do the (tuple, value run)
+// destinations of the PK -> FK hop, so both of `PropagateIds`' sorts take
+// the radix path over multi-byte keys. The oracle here is a value-keyed
+// std::map join, since a nested loop over 10^5 x 10^5 tuples is too slow.
+TEST(PropagationOracleTest, WideRelationsMatchMapJoin) {
+  constexpr TupleId kKeys = 70000;
+  constexpr TupleId kRefs = 80000;
+  constexpr uint32_t kIds = 200000;
+  RelationSchema keys_schema("Keys");
+  keys_schema.AddPrimaryKey("id");
+  RelationSchema refs_schema("Refs");
+  refs_schema.AddPrimaryKey("id");
+  refs_schema.AddForeignKey("key", 0);
+  Database db;
+  const RelId keys = db.AddRelation(keys_schema);
+  const RelId refs = db.AddRelation(refs_schema);
+  Rng rng(0x70000);
+  for (TupleId t = 0; t < kKeys; ++t) {
+    db.mutable_relation(keys).SetInt(db.mutable_relation(keys).AddTuple(), 0,
+                                     t);
+  }
+  for (TupleId t = 0; t < kRefs; ++t) {
+    Relation& rel = db.mutable_relation(refs);
+    rel.SetInt(rel.AddTuple(), 0, t);
+    rel.SetInt(t, 1,
+               rng.Bernoulli(0.05) ? kNullValue
+                                   : static_cast<int64_t>(rng.Uniform(kKeys)));
+  }
+  db.SetTarget(keys);
+  db.SetLabels(std::vector<ClassId>(kKeys, 0), 2);
+  ASSERT_TRUE(db.Finalize().ok());
+
+  PropagationScratch scratch;
+  int checked = 0;
+  for (const JoinEdge& edge : db.edges()) {
+    SCOPED_TRACE(::testing::Message() << "edge " << edge.from_rel << " -> "
+                                      << edge.to_rel);
+    const Relation& from = db.relation(edge.from_rel);
+    const Relation& to = db.relation(edge.to_rel);
+    // Nearly every source tuple carries one or two ids, so more than 2^16
+    // join values are reached.
+    IdPairs src;
+    std::map<int64_t, std::set<uint32_t>> by_value;
+    for (TupleId t = 0; t < from.num_tuples(); ++t) {
+      if (rng.Bernoulli(0.03)) continue;
+      std::set<uint32_t> ids;
+      for (int k = 0; k < 2; ++k) {
+        ids.insert(static_cast<uint32_t>(rng.Uniform(kIds)));
+      }
+      for (uint32_t id : ids) src.push_back(MakeIdPair(t, id));
+      const int64_t value = from.Int(t, edge.from_attr);
+      if (value != kNullValue) by_value[value].insert(ids.begin(), ids.end());
+    }
+    IdPairs want;
+    for (TupleId u = 0; u < to.num_tuples(); ++u) {
+      auto it = by_value.find(to.Int(u, edge.to_attr));
+      if (to.Int(u, edge.to_attr) == kNullValue || it == by_value.end()) {
+        continue;
+      }
+      for (uint32_t id : it->second) want.push_back(MakeIdPair(u, id));
+    }
+
+    const uint64_t key_sorts = scratch.key_sorts;
+    const uint64_t dest_sorts = scratch.dest_sorts;
+    PropagationResult got =
+        PropagateIds(db, edge, src, nullptr, {}, &scratch);
+    ASSERT_TRUE(got.ok);
+    EXPECT_EQ(got.total_ids, want.size());
+    EXPECT_TRUE(got.pairs == want) << got.pairs.size() << " pairs vs "
+                                   << want.size() << " expected";
+    if (edge.kind == JoinKind::kFkToPk) {
+      EXPECT_EQ(scratch.key_sorts, key_sorts + 1) << "FK -> PK keys unsorted";
+      EXPECT_GT(scratch.keys.size(), size_t{1} << 16);
+      ++checked;
+    } else {
+      ASSERT_EQ(edge.kind, JoinKind::kPkToFk);
+      EXPECT_EQ(scratch.dest_sorts, dest_sorts + 1)
+          << "PK -> FK destinations unsorted";
+      EXPECT_GT(scratch.dests.size(), size_t{1} << 16);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2);
+  EXPECT_GT(scratch.key_sorts, 0u) << "the key radix sort never ran";
+  EXPECT_GT(scratch.dest_sorts, 0u) << "the destination radix sort never ran";
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ class NumericalLiteralOracleTest
 /// each winner against the brute-force oracles: the winning numerical
 /// literal's counts, and that no categorical value or numerical threshold
 /// beats the winner's gain. `filter` searches as training does: the target
-/// itself under the node-0 identity hint, then pairs propagated through
+/// itself over its node-0 `(t, t)` pairs, then pairs propagated through
 /// the alive mask; without it the propagated pairs keep dead targets,
 /// which counting must skip.
 void ExpectNumericalMatchesBruteForce(const Database& db,
@@ -108,9 +108,9 @@ void ExpectNumericalMatchesBruteForce(const Database& db,
   CrossMineOptions opts;
   opts.use_aggregation_literals = false;  // numerical-only focus
 
-  auto check = [&](RelId rel_id, const IdPairs& pairs, bool identity) {
+  auto check = [&](RelId rel_id, const IdPairs& pairs) {
     const Relation& rel = db.relation(rel_id);
-    CandidateLiteral best = searcher.FindBest(rel_id, pairs, opts, identity);
+    CandidateLiteral best = searcher.FindBest(rel_id, pairs, opts);
     std::vector<IdSet> idsets = IdSetsFromPairs(pairs, rel.num_tuples());
     EXPECT_DOUBLE_EQ(best.gain,
                      testing::BruteForceBestGain(rel, idsets, alive, positive,
@@ -132,13 +132,13 @@ void ExpectNumericalMatchesBruteForce(const Database& db,
 
   std::vector<uint8_t> all(n, 1);
   IdPairs root = IdentityPairs(filter ? alive : all);
-  if (filter) check(db.target(), root, /*identity=*/true);
+  if (filter) check(db.target(), root);
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     PropagationResult prop =
         PropagateIds(db, edge, root, filter ? &alive : nullptr);
     ASSERT_TRUE(prop.ok);
-    check(edge.to_rel, prop.pairs, /*identity=*/false);
+    check(edge.to_rel, prop.pairs);
   }
 }
 

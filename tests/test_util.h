@@ -194,8 +194,8 @@ inline Fig2Database MakeFig2Database() {
 /// random mix of FK directions, 1–2 categorical and 0–1 numerical
 /// attributes per relation, random sizes, random labels. FK values may
 /// dangle deliberately. `fk_values` (0 = `max_tuples`) bounds the FK value
-/// range: a small range skews fan-in, so propagated idsets grow past the
-/// bitmap threshold and destinations sharing a join value alias one span.
+/// range: a small range skews fan-in, so many source tuples share a join
+/// value and propagation merges their ids into one run per value.
 /// `null_fraction` is the share of FK values set to NULL.
 inline Database MakeRandomDatabase(uint64_t seed, int num_relations = 3,
                                    int max_tuples = 30, int fk_values = 0,

@@ -12,9 +12,10 @@
 # out-of-bounds parse of hostile bytes is a failure even when it does not
 # crash the unsanitized build — the columnar suites matter most here,
 # since the `.cmdb` loader parses offsets out of an mmap'd file and hands
-# zero-copy spans to the engine. The bitmap kernel and AttrIndex suites run
-# here too: word-granular spans with tail-word masking and CSR posting
-# arithmetic are classic off-by-one-word territory, and the IndexCache
+# zero-copy spans to the engine. The AttrIndex suite runs here too: the
+# counting-sort build's per-value cursors and CSR posting arithmetic are
+# classic off-by-one territory, as are the radix passes and buffer swaps
+# of `SortPairs` that the idset suite checks, and the IndexCache
 # suite thrashes eviction while handles are still live — a use-after-free
 # hunt by construction. The shard suite rides
 # along because the partitioner's kShared mode aliases parent column storage
@@ -35,7 +36,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$BUILD_DIR" -j \
-  --target protocol_test serve_test propagation_oracle_test bitmap_ops_test \
+  --target protocol_test serve_test propagation_oracle_test idset_test \
   attr_index_test index_cache_test csv_corruption_test columnar_test \
   columnar_corruption_test fault_matrix_test shard_test \
   shard_process_test predict_referee_test crossmine_cli serve_client
@@ -45,7 +46,7 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/protocol_test
 "$BUILD_DIR"/tests/serve_test
 "$BUILD_DIR"/tests/propagation_oracle_test
-"$BUILD_DIR"/tests/bitmap_ops_test
+"$BUILD_DIR"/tests/idset_test
 "$BUILD_DIR"/tests/attr_index_test
 "$BUILD_DIR"/tests/index_cache_test
 "$BUILD_DIR"/tests/csv_corruption_test
