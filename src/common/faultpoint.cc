@@ -56,7 +56,6 @@ FaultPoint::FaultPoint(const char* name) : name_(name) {
 
 FaultPoint::Action FaultPoint::Consume() {
   int64_t sleep_ms = 0;
-  bool abort_process = false;
   Action action;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -71,11 +70,7 @@ FaultPoint::Action FaultPoint::Consume() {
     action.err = err_;
     action.byte_limit = byte_limit_;
     sleep_ms = sleep_ms_;
-    abort_process = abort_process_;
   }
-  // A crash injection dies here, mid-operation: SIGABRT with no cleanup,
-  // exactly what the process-supervision tests need a worker to do.
-  if (abort_process) std::abort();
   // Sleep outside the lock: delay injection must not serialize unrelated
   // arms/disarms (and a kill-9 test parks here for hundreds of ms).
   if (sleep_ms > 0) {
@@ -85,14 +80,13 @@ FaultPoint::Action FaultPoint::Consume() {
 }
 
 void FaultPoint::Arm(int64_t hit, int64_t count, int err, int64_t sleep_ms,
-                     int64_t byte_limit, bool abort_process) {
+                     int64_t byte_limit) {
   std::lock_guard<std::mutex> lock(mu_);
   hit_ = hit;
   count_ = count;
   err_ = err;
   sleep_ms_ = sleep_ms;
   byte_limit_ = byte_limit;
-  abort_process_ = abort_process;
   hits_seen_ = 0;
   armed_.store(true, std::memory_order_relaxed);
 }
@@ -172,10 +166,7 @@ Status FaultRegistry::ApplyPlan(const std::string& plan) {
     int err = 0;
     int64_t sleep_ms = 0;
     int64_t byte_limit = -1;
-    bool abort_process = false;
-    if (action == "abort") {
-      abort_process = true;
-    } else if (action.rfind("sleep:", 0) == 0) {
+    if (action.rfind("sleep:", 0) == 0) {
       if (!ParseInt64(action.substr(6), &sleep_ms) || sleep_ms < 0) {
         return Status::InvalidArgument(StrFormat(
             "fault plan entry \"%s\": bad sleep millis", entry.c_str()));
@@ -199,7 +190,7 @@ Status FaultRegistry::ApplyPlan(const std::string& plan) {
                     "(known: %s)",
                     entry.c_str(), target.c_str(), known.c_str()));
     }
-    point->Arm(hit, count, err, sleep_ms, byte_limit, abort_process);
+    point->Arm(hit, count, err, sleep_ms, byte_limit);
   }
   return Status::OK();
 }

@@ -32,21 +32,16 @@ namespace crossmine {
 ///   plan   := entry (';' entry)*
 ///   entry  := name ['@' hit] '=' action ['*' count]
 ///   action := ERRNO_NAME | errno_number | 'sleep:' millis | 'short:' bytes
-///           | 'abort'
 /// ```
 /// `hit` is 1-based and counted from the moment of arming (a disarmed point
 /// does not count hits, which is what keeps the disarmed path to one atomic
 /// load); `count` defaults to 1 and makes `count` consecutive hits fire.
-/// The `abort` action calls `std::abort()` at the call site — the process
-/// dies of SIGABRT mid-operation, the deterministic stand-in for a worker
-/// crash in the process-supervision tests.
 /// Examples:
 /// ```
 ///   model_io.save.rename@1=EIO          # first rename of a model save fails
 ///   csv.data.read@3=ENOSPC*2            # third and fourth data reads fail
 ///   model_io.save.rename@1=sleep:400    # hold the save open for kill tests
 ///   tcp.send@1=short:1*64               # 64 sends capped at 1 byte each
-///   shard.checkpoint.write@1=abort      # worker dies of SIGABRT mid-save
 /// ```
 
 /// One named injection site. Define at namespace scope in the .cc that owns
@@ -95,7 +90,7 @@ class FaultPoint {
 
   /// Installs a parsed spec (registry-internal; callers use ApplyPlan).
   void Arm(int64_t hit, int64_t count, int err, int64_t sleep_ms,
-           int64_t byte_limit, bool abort_process);
+           int64_t byte_limit);
   void Disarm();
 
   const char* const name_;
@@ -107,7 +102,6 @@ class FaultPoint {
   int err_ = 0;
   int64_t sleep_ms_ = 0;
   int64_t byte_limit_ = -1;
-  bool abort_process_ = false;
   int64_t hits_seen_ = 0;
 };
 

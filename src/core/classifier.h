@@ -102,7 +102,7 @@ class CrossMineClassifier : public RelationalClassifier {
   friend StatusOr<CrossMineClassifier> LoadModel(const Database& db,
                                                  const std::string& path);
   /// `ParseModel` is `LoadModel` minus the file read — the same validated
-  /// restore path, reused by shard-worker checkpoints.
+  /// restore path.
   friend StatusOr<CrossMineClassifier> ParseModel(const Database& db,
                                                   const std::string& contents,
                                                   const std::string& origin);

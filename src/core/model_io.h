@@ -33,8 +33,7 @@ StatusOr<CrossMineClassifier> LoadModel(const Database& db,
 
 /// The exact bytes `SaveModel` writes: the v2 model container — text payload
 /// plus the mandatory `checksum <crc32> <payload-bytes>` trailer. Exposed so
-/// other persistence paths (shard worker checkpoints) can reuse the framing
-/// under their own fault points and write policy.
+/// callers can compare or hash model bytes without a file.
 std::string SerializeModel(const CrossMineClassifier& model,
                            const Database& db);
 

@@ -99,8 +99,8 @@ class Column {
 
 /// The unified per-attribute index: one CSR inverted index over an integer
 /// attribute serving every consumer — join probes (propagation, baseline
-/// bindings, shard closure BFS) through `FindValue` + `posting`, and literal
-/// scoring through ascending `values` iteration. Distinct values ascend;
+/// bindings) through `FindValue` + `posting`, and literal scoring through
+/// ascending `values` iteration. Distinct values ascend;
 /// each posting list holds its tuple ids ascending with NULLs (`kNullValue`)
 /// excluded, matching SQL join semantics.
 ///

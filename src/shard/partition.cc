@@ -39,7 +39,7 @@ void CopyDictionaries(const Relation& src, Relation* dst) {
 }
 
 /// Points every column of `dst` at `src`'s storage (owned vector or mmap
-/// segment alike) — the zero-copy kShared attachment.
+/// segment alike) — the zero-copy attachment of every non-target relation.
 void BorrowRelation(const Relation& src, Relation* dst) {
   const RelationSchema& schema = src.schema();
   dst->BindBorrowedTuples(src.num_tuples());
@@ -50,70 +50,6 @@ void BorrowRelation(const Relation& src, Relation* dst) {
       dst->BorrowDoubleColumn(a, src.DoubleColumn(a).data());
     }
   }
-}
-
-/// Fixpoint of tuples reachable from `seed_targets` along any directed
-/// join-edge path — the FK closure a shard's propagation can ever touch.
-/// Returns one ascending tuple-id list per relation (the target relation's
-/// entry is exactly `seed_targets`).
-std::vector<std::vector<TupleId>> FkClosure(
-    const Database& parent, const std::vector<TupleId>& seed_targets) {
-  size_t num_rels = static_cast<size_t>(parent.num_relations());
-  std::vector<std::vector<uint8_t>> reached(num_rels);
-  for (size_t r = 0; r < num_rels; ++r) {
-    reached[r].assign(parent.relation(static_cast<RelId>(r)).num_tuples(), 0);
-  }
-  std::vector<std::vector<TupleId>> frontier(num_rels);
-  for (TupleId t : seed_targets) {
-    reached[static_cast<size_t>(parent.target())][t] = 1;
-  }
-  frontier[static_cast<size_t>(parent.target())] = seed_targets;
-
-  bool any = !seed_targets.empty();
-  while (any) {
-    any = false;
-    for (RelId r = 0; r < parent.num_relations(); ++r) {
-      std::vector<TupleId> wave;
-      wave.swap(frontier[static_cast<size_t>(r)]);
-      if (wave.empty()) continue;
-      const Relation& from_rel = parent.relation(r);
-      for (int32_t e : parent.OutEdges(r)) {
-        const JoinEdge& edge = parent.edges()[static_cast<size_t>(e)];
-        const Relation& to_rel = parent.relation(edge.to_rel);
-        std::shared_ptr<const AttrIndex> handle =
-            to_rel.GetAttrIndex(edge.to_attr);
-        const AttrIndex& index = *handle;
-        std::vector<uint8_t>& to_reached =
-            reached[static_cast<size_t>(edge.to_rel)];
-        std::vector<TupleId>& to_frontier =
-            frontier[static_cast<size_t>(edge.to_rel)];
-        for (TupleId t : wave) {
-          int64_t v = from_rel.Int(t, edge.from_attr);
-          if (v == kNullValue) continue;
-          size_t dv = index.FindValue(v);
-          if (dv == AttrIndex::npos) continue;
-          const TupleId* us = index.posting(dv);
-          uint32_t count = index.posting_count(dv);
-          for (uint32_t i = 0; i < count; ++i) {
-            TupleId u = us[i];
-            if (to_reached[u]) continue;
-            to_reached[u] = 1;
-            to_frontier.push_back(u);
-            any = true;
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<TupleId>> out(num_rels);
-  for (size_t r = 0; r < num_rels; ++r) {
-    for (TupleId t = 0; t < reached[r].size(); ++t) {
-      if (reached[r][t]) out[r].push_back(t);
-    }
-  }
-  out[static_cast<size_t>(parent.target())] = seed_targets;
-  return out;
 }
 
 }  // namespace
@@ -129,11 +65,11 @@ int32_t ShardOfKey(int64_t pk_value, int num_shards) {
 
 StatusOr<std::vector<Shard>> PartitionDatabase(
     const Database& parent, const std::vector<TupleId>& train_ids,
-    const PartitionOptions& options) {
+    int num_shards) {
   if (!parent.finalized()) {
     return Status::FailedPrecondition("database not finalized");
   }
-  if (options.num_shards < 1) {
+  if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
   const Relation& target = parent.target_relation();
@@ -149,22 +85,17 @@ StatusOr<std::vector<Shard>> PartitionDatabase(
   }
 
   std::vector<std::vector<TupleId>> members(
-      static_cast<size_t>(options.num_shards));
+      static_cast<size_t>(num_shards));
   for (TupleId t : sorted_ids) {
-    int32_t s = ShardOfKey(target.IntColumn(pk)[t], options.num_shards);
+    int32_t s = ShardOfKey(target.IntColumn(pk)[t], num_shards);
     members[static_cast<size_t>(s)].push_back(t);
   }
 
   std::vector<Shard> shards;
-  shards.reserve(static_cast<size_t>(options.num_shards));
-  for (int s = 0; s < options.num_shards; ++s) {
+  shards.reserve(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
     Shard shard;
     shard.parent_ids = std::move(members[static_cast<size_t>(s)]);
-
-    std::vector<std::vector<TupleId>> keep;
-    if (options.mode == PartitionMode::kFkClosure) {
-      keep = FkClosure(parent, shard.parent_ids);
-    }
 
     for (RelId r = 0; r < parent.num_relations(); ++r) {
       const Relation& src = parent.relation(r);
@@ -173,8 +104,6 @@ StatusOr<std::vector<Shard>> PartitionDatabase(
       Relation& dst = shard.db.mutable_relation(r);
       if (r == parent.target()) {
         CopyRows(src, &dst, shard.parent_ids);
-      } else if (options.mode == PartitionMode::kFkClosure) {
-        CopyRows(src, &dst, keep[static_cast<size_t>(r)]);
       } else {
         BorrowRelation(src, &dst);
       }

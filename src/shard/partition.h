@@ -9,41 +9,18 @@
 
 namespace crossmine::shard {
 
-/// How a shard's sub-database materializes the non-target relations.
-enum class PartitionMode {
-  /// Non-target relations are shared read-only: every column of every
-  /// non-target relation is a zero-copy borrowed span aliasing the parent
-  /// database's storage (an owned vector or the mmap'd `.cmdb` segment —
-  /// `Column<T>::Borrow` either way). Cheapest to build; each shard still
-  /// pays its own lazy index builds over the full relations.
-  kShared,
-  /// Non-target relations are restricted to their FK-closure: the fixpoint
-  /// of tuples reachable from the shard's target tuples along any directed
-  /// join-edge path. Reachable rows are copied into owned columns, so the
-  /// shard's working set (columns *and* indexes) is bounded by what tuple-ID
-  /// propagation can ever touch — the shape a distributed worker would
-  /// ship. Unreachable tuples can never carry a propagated idset, but their
-  /// absence shrinks the candidate value / threshold grids literal search
-  /// sweeps, so closure shards may learn (deterministically) different
-  /// clauses than shared shards.
-  kFkClosure,
-};
-
-struct PartitionOptions {
-  /// Number of shards to split the target relation into (>= 1).
-  int num_shards = 1;
-  PartitionMode mode = PartitionMode::kShared;
-};
-
 /// One shard: a carved sub-database plus the mapping back to the parent.
 ///
 /// The sub-database has the parent's exact relation order, schemas and
 /// (after `Finalize`) join graph, so `SchemaFingerprint(shard.db)` equals
 /// the parent's and clauses learned on a shard reference relation /
 /// attribute / edge ids that resolve identically against the parent.
-/// Under `kShared` the sub-database aliases the parent's column storage:
-/// it is valid only while the parent Database outlives it and is not
-/// mutated.
+/// Non-target relations are shared read-only: every column is a zero-copy
+/// borrowed span aliasing the parent's storage (an owned vector or the
+/// mmap'd `.cmdb` segment — `Column<T>::Borrow` either way), so each shard
+/// pays only its own lazy index builds over the full relations. The
+/// sub-database is valid only while the parent Database outlives it and is
+/// not mutated.
 struct Shard {
   Database db;
   /// Parent target ids of this shard's target tuples, ascending; shard
@@ -58,17 +35,17 @@ struct Shard {
 int32_t ShardOfKey(int64_t pk_value, int num_shards);
 
 /// Hash-splits the target tuples listed in `train_ids` into
-/// `options.num_shards` shards on their primary-key value and carves one
+/// `num_shards` (>= 1) shards on their primary-key value and carves one
 /// sub-database per shard: the target relation holds exactly that shard's
 /// train tuples (rows copied, PK values preserved so FK joins into the
 /// target keep resolving), labels restricted to match, and non-target
-/// relations attached per `options.mode`. Deterministic: depends only on
-/// the parent's contents, `train_ids` and `options`. Shards may be empty
+/// relations borrowed from the parent. Deterministic: depends only on
+/// the parent's contents, `train_ids` and `num_shards`. Shards may be empty
 /// (their `db` still finalizes with zero target tuples — callers skip
 /// them for training).
 StatusOr<std::vector<Shard>> PartitionDatabase(const Database& parent,
                                                const std::vector<TupleId>& train_ids,
-                                               const PartitionOptions& options);
+                                               int num_shards);
 
 }  // namespace crossmine::shard
 

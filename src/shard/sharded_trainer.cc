@@ -27,14 +27,6 @@ void TouchShardMetrics(MetricsRegistry* metrics) {
   metrics->timer("train.shard.partition_seconds");
   metrics->timer("train.shard.train_seconds");
   metrics->timer("train.shard.merge_seconds");
-  // Robustness counters of the process-exec supervisor; zero (but present)
-  // for in-process runs so the report schema does not depend on exec mode.
-  metrics->counter("train.shard.retries");
-  metrics->counter("train.shard.timeouts");
-  metrics->counter("train.shard.crashed");
-  metrics->counter("train.shard.spawn_failures");
-  metrics->counter("train.shard.resumed");
-  metrics->counter("train.shard.quorum_used");
 }
 
 /// One shard worker's output: the trained model, its private metrics sink,
@@ -98,11 +90,8 @@ Status ShardedClassifier::Train(const Database& db,
   std::vector<Shard> shards;
   {
     ScopedMetricTimer partition_timer(metrics_, "train.shard.partition_seconds");
-    PartitionOptions popts;
-    popts.num_shards = num_shards;
-    popts.mode = shard_options_.partition;
     StatusOr<std::vector<Shard>> parts =
-        PartitionDatabase(db, train_ids, popts);
+        PartitionDatabase(db, train_ids, num_shards);
     if (!parts.ok()) return parts.status();
     shards = std::move(*parts);
   }
@@ -130,79 +119,53 @@ Status ShardedClassifier::Train(const Database& db,
   // burn time and (at one shard) double-apply it.
   shard_opts.reestimate_accuracy_on_training_set = false;
 
-  // Trained per-shard models in `active` order (quorum-dropped shards
-  // simply absent). Both exec modes feed the same deterministic merge.
-  std::vector<CrossMineClassifier> trained;
-  if (shard_options_.exec == ShardExecMode::kProcess) {
-    // Process isolation: a ShardSupervisor forks one `train-shard` worker
-    // per shard over a durable slice and collects checkpointed models.
-    // Checkpoints serialize doubles in %.17g, so the merge inputs — hence
-    // the merged model — are byte-identical to in-process training.
-    SupervisorOptions sup = shard_options_.supervisor;
-    if (sup.max_workers <= 0) sup.max_workers = outer;
-    ScopedMetricTimer train_timer(metrics_, "train.shard.train_seconds");
-    ShardSupervisor supervisor(sup);
-    StatusOr<std::vector<std::optional<CrossMineClassifier>>> results =
-        supervisor.Run(db, shard_opts, shards, active, metrics_);
-    if (!results.ok()) return results.status();
-    trained.reserve(results->size());
-    for (std::optional<CrossMineClassifier>& model : *results) {
-      if (model.has_value()) trained.push_back(std::move(*model));
-    }
-  } else {
-    std::vector<std::unique_ptr<ShardSlot>> slots;
-    slots.reserve(active.size());
+  std::vector<std::unique_ptr<ShardSlot>> slots;
+  slots.reserve(active.size());
+  for (size_t i = 0; i < active.size(); ++i) {
+    slots.push_back(std::make_unique<ShardSlot>(shard_opts));
+  }
+  auto train_one = [&](size_t slot_index) {
+    ShardSlot& slot = *slots[slot_index];
+    const Shard& shard = shards[static_cast<size_t>(active[slot_index])];
+    std::vector<TupleId> ids(shard.parent_ids.size());
+    for (TupleId t = 0; t < ids.size(); ++t) ids[t] = t;
+    if (metrics_ != nullptr) slot.model.set_metrics(&slot.metrics);
+    slot.status = slot.model.Train(shard.db, ids);
+    slot.model.set_metrics(nullptr);
+  };
+  if (outer > 1) {
+    ThreadPool pool(outer);
+    std::vector<std::function<void(int)>> tasks;
+    tasks.reserve(active.size());
     for (size_t i = 0; i < active.size(); ++i) {
-      slots.push_back(std::make_unique<ShardSlot>(shard_opts));
+      tasks.push_back([&train_one, i](int) { train_one(i); });
     }
-    auto train_one = [&](size_t slot_index) {
-      ShardSlot& slot = *slots[slot_index];
-      const Shard& shard = shards[static_cast<size_t>(active[slot_index])];
-      std::vector<TupleId> ids(shard.parent_ids.size());
-      for (TupleId t = 0; t < ids.size(); ++t) ids[t] = t;
-      if (metrics_ != nullptr) slot.model.set_metrics(&slot.metrics);
-      slot.status = slot.model.Train(shard.db, ids);
-      slot.model.set_metrics(nullptr);
-    };
-    if (outer > 1) {
-      ThreadPool pool(outer);
-      std::vector<std::function<void(int)>> tasks;
-      tasks.reserve(active.size());
-      for (size_t i = 0; i < active.size(); ++i) {
-        tasks.push_back([&train_one, i](int) { train_one(i); });
-      }
-      pool.RunTasks(tasks);
-    } else {
-      for (size_t i = 0; i < active.size(); ++i) train_one(i);
-    }
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i]->status.ok()) {
-        return Status::Internal(StrFormat(
-            "shard %d train failed: %s", active[i],
-            slots[i]->status.ToString().c_str()));
-      }
-    }
-    if (metrics_ != nullptr) {
-      for (const std::unique_ptr<ShardSlot>& slot : slots) {
-        MetricsSnapshot snap = slot->metrics.Snapshot();
-        // A shard's wall clock is concurrent with its siblings'; keep it out
-        // of the trainer's own `train.wall_seconds` and account it as
-        // accumulated per-shard train time instead (timer convention).
-        auto it = snap.find("train.wall_seconds");
-        if (it != snap.end()) {
-          snap["train.shard.train_seconds"] += it->second;
-          snap.erase(it);
-        }
-        AbsorbSnapshot(snap, metrics_);
-      }
-    }
-    trained.reserve(slots.size());
-    for (std::unique_ptr<ShardSlot>& slot : slots) {
-      trained.push_back(std::move(slot->model));
+    pool.RunTasks(tasks);
+  } else {
+    for (size_t i = 0; i < active.size(); ++i) train_one(i);
+  }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]->status.ok()) {
+      return Status::Internal(StrFormat("shard %d train failed: %s", active[i],
+                                        slots[i]->status.ToString().c_str()));
     }
   }
-  for (const CrossMineClassifier& model : trained) {
-    stats_.clauses_in += model.clauses().size();
+  if (metrics_ != nullptr) {
+    for (const std::unique_ptr<ShardSlot>& slot : slots) {
+      MetricsSnapshot snap = slot->metrics.Snapshot();
+      // A shard's wall clock is concurrent with its siblings'; keep it out
+      // of the trainer's own `train.wall_seconds` and account it as
+      // accumulated per-shard train time instead (timer convention).
+      auto it = snap.find("train.wall_seconds");
+      if (it != snap.end()) {
+        snap["train.shard.train_seconds"] += it->second;
+        snap.erase(it);
+      }
+      AbsorbSnapshot(snap, metrics_);
+    }
+  }
+  for (const std::unique_ptr<ShardSlot>& slot : slots) {
+    stats_.clauses_in += slot->model.clauses().size();
   }
   if (metrics_ != nullptr) {
     metrics_->counter("train.shard.clauses_in")->Add(stats_.clauses_in);
@@ -260,8 +223,8 @@ Status ShardedClassifier::Train(const Database& db,
     size_t initial = uncovered_count;
     int kept = 0;
     bool open = initial > 0;
-    for (size_t s = 0; open && s < trained.size(); ++s) {
-      for (const Clause& clause : trained[s].clauses()) {
+    for (size_t s = 0; open && s < slots.size(); ++s) {
+      for (const Clause& clause : slots[s]->model.clauses()) {
         if (clause.predicted_class != cls) continue;
         if (static_cast<double>(uncovered_count) <=
                 base_.min_pos_fraction_left * static_cast<double>(initial) ||

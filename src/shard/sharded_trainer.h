@@ -10,28 +10,12 @@
 #include "core/relational_classifier.h"
 #include "relational/database.h"
 #include "shard/partition.h"
-#include "shard/supervisor.h"
 
 namespace crossmine::shard {
-
-/// Where the per-shard Find-Clauses loops run.
-enum class ShardExecMode {
-  /// Threads of this process (the original path): cheapest, but a crash or
-  /// OOM in any shard takes the whole run down.
-  kInProcess,
-  /// One `crossmine train-shard` worker process per shard, run by a
-  /// ShardSupervisor over durable `.cmdb` slices and crc32-trailed
-  /// checkpoints: crashes, hangs and torn checkpoints are retried, quorum
-  /// can forgive stragglers, and `resume` survives supervisor death. The
-  /// merge consumes checkpoints in shard order, so the final model is
-  /// byte-identical to `kInProcess` at the same options.
-  kProcess,
-};
 
 struct ShardOptions {
   /// Shard count; 0 inherits `CrossMineOptions::num_shards`.
   int num_shards = 0;
-  PartitionMode partition = PartitionMode::kShared;
   /// Training tuples the merge re-scores each candidate clause against.
   /// 0 (default) scores on the full training set — required for the
   /// shards=1 byte-identity guarantee. A positive value below the training
@@ -39,11 +23,6 @@ struct ShardOptions {
   /// support counts by the sampling ratio (cheaper on XL databases, at the
   /// cost of estimated accuracies).
   uint64_t merge_sample = 0;
-  ShardExecMode exec = ShardExecMode::kInProcess;
-  /// Coordinator knobs for `kProcess` (run directory, timeout, retries,
-  /// quorum, resume). `max_workers == 0` defaults to the outer thread
-  /// split, so process and in-process runs get the same concurrency.
-  SupervisorOptions supervisor;
 };
 
 /// Shard-parallel CrossMine trainer: partitions the target relation into K

@@ -31,9 +31,6 @@
 #include "core/model_io.h"
 #include "relational/csv.h"
 #include "serve/protocol.h"
-#include "shard/partition.h"
-#include "shard/supervisor.h"
-#include "shard/worker.h"
 #include "storage/storage.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
@@ -108,10 +105,7 @@ TEST_F(FaultMatrixTest, EveryRegisteredPointHasAMatrixDriver) {
       "csv.save.open",       "csv.save.rename",     "csv.save.write",
       "model_io.load.open",  "model_io.load.read",  "model_io.save.fsync",
       "model_io.save.open",  "model_io.save.rename","model_io.save.write",
-      "serve.admit",         "serve.execute",       "shard.checkpoint.fsync",
-      "shard.checkpoint.read","shard.checkpoint.rename",
-      "shard.checkpoint.write","shard.worker.spawn", "shard.worker.wait",
-      "tcp.accept",
+      "serve.admit",         "serve.execute",       "tcp.accept",
       "tcp.accept.poll",     "tcp.conn.read",       "tcp.send",
   };
   for (const std::string& name : Registry().Names()) {
@@ -285,110 +279,6 @@ TEST_F(FaultMatrixTest, ColumnarLoadFaultsFailCleanly) {
     EXPECT_FALSE(storage::OpenDatabase(path).ok()) << point;
     Registry().DisarmAll();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Shard process supervision: worker spawn / reap and checkpoint durability.
-// (tests/shard_process_test.cc drives these same points end to end against
-// the real CLI worker; here each point proves clean in-process failure.)
-
-TEST_F(FaultMatrixTest, ShardWorkerCheckpointFaultsFailCleanly) {
-  // Worker-side checkpoint faults, driven through the real TrainShardMain
-  // entry over a .cmdb slice: each armed edge fails the worker (exit 1)
-  // with no checkpoint and no temp debris; the disarmed rerun publishes a
-  // checkpoint that validates against the parent database.
-  Fig2Database fig = MakeFig2Database();
-  std::string dir = ScratchDir("shard_worker");
-  std::string slice = dir + "/slice-0.cmdb";
-  std::string ckpt = dir + "/ckpt-0.cmm";
-  ASSERT_TRUE(storage::SaveDatabase(fig.db, slice).ok());
-  std::string fp = std::to_string(SchemaFingerprint(fig.db));
-
-  auto run_worker = [&]() {
-    std::vector<std::string> args = {"crossmine",           "train-shard",
-                                     slice,                 ckpt,
-                                     "--expect-fingerprint", fp};
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    return shard::TrainShardMain(static_cast<int>(argv.size()), argv.data());
-  };
-
-  for (const char* point : {"shard.checkpoint.write", "shard.checkpoint.fsync",
-                            "shard.checkpoint.rename"}) {
-    ASSERT_TRUE(Registry().ApplyPlan(std::string(point) + "@1=EIO").ok());
-    EXPECT_EQ(run_worker(), 1) << point << " armed but the worker succeeded";
-    EXPECT_FALSE(std::filesystem::exists(ckpt))
-        << point << ": failed worker must not publish a checkpoint";
-    EXPECT_FALSE(HasTempLeftovers(dir))
-        << point << ": failed worker leaked a temp file";
-    Registry().DisarmAll();
-  }
-  EXPECT_EQ(run_worker(), 0);
-  EXPECT_TRUE(shard::LoadShardCheckpoint(fig.db, ckpt).ok());
-}
-
-TEST_F(FaultMatrixTest, ShardCheckpointReadFaultFailsCleanly) {
-  Fig2Database fig = MakeFig2Database();
-  CrossMineClassifier model = TrainedModel(fig.db);
-  std::string path = ScratchDir("shard_read") + "/ckpt-0.cmm";
-  WriteFile(path, SerializeModel(model, fig.db));
-
-  ASSERT_TRUE(Registry().ApplyPlan("shard.checkpoint.read@1=EIO").ok());
-  StatusOr<CrossMineClassifier> loaded =
-      shard::LoadShardCheckpoint(fig.db, path);
-  EXPECT_FALSE(loaded.ok()) << "read fault armed but the checkpoint loaded";
-  Registry().DisarmAll();
-  EXPECT_TRUE(shard::LoadShardCheckpoint(fig.db, path).ok());
-}
-
-TEST_F(FaultMatrixTest, ShardSupervisorSpawnAndWaitFaultsFailCleanly) {
-  Fig2Database fig = MakeFig2Database();
-  std::vector<TupleId> all;
-  for (TupleId t = 0; t < fig.db.target_relation().num_tuples(); ++t) {
-    all.push_back(t);
-  }
-  shard::PartitionOptions popts;
-  popts.num_shards = 2;
-  StatusOr<std::vector<shard::Shard>> shards =
-      shard::PartitionDatabase(fig.db, all, popts);
-  ASSERT_TRUE(shards.ok());
-  std::vector<int> active;
-  for (size_t s = 0; s < shards->size(); ++s) {
-    if (!(*shards)[s].parent_ids.empty()) active.push_back(static_cast<int>(s));
-  }
-  ASSERT_FALSE(active.empty());
-
-  auto run = [&](const char* tag) {
-    shard::SupervisorOptions sup;
-    sup.run_dir = ScratchDir(tag);
-    // A worker that exits 1 without ever checkpointing: every attempt
-    // fails, so the run ends in a clean error either way.
-    sup.worker_binary = "/bin/false";
-    sup.max_attempts = 2;
-    sup.backoff_initial_seconds = 0.01;
-    sup.backoff_max_seconds = 0.02;
-    shard::ShardSupervisor supervisor(sup);
-    return supervisor.Run(fig.db, CrossMineOptions{}, *shards, active,
-                          nullptr);
-  };
-
-  // Persistent spawn faults exhaust every attempt without forking once.
-  ASSERT_TRUE(Registry().ApplyPlan("shard.worker.spawn=EAGAIN*99").ok());
-  StatusOr<std::vector<std::optional<CrossMineClassifier>>> result =
-      run("shard_spawn");
-  EXPECT_FALSE(result.ok()) << "spawn fault armed but the run succeeded";
-  Registry().DisarmAll();
-
-  // EINTR on the reap loop is absorbed internally (the retry loop exists);
-  // the armed window going cold proves the point actually fired.
-  FaultPoint* wait_point = Registry().Find("shard.worker.wait");
-  ASSERT_NE(wait_point, nullptr);
-  ASSERT_TRUE(Registry().ApplyPlan("shard.worker.wait@1=EINTR*2").ok());
-  ASSERT_TRUE(wait_point->armed());
-  result = run("shard_wait");
-  EXPECT_FALSE(result.ok());  // /bin/false never checkpoints
-  EXPECT_FALSE(wait_point->armed()) << "wait fault never fired";
-  Registry().DisarmAll();
 }
 
 TEST_F(FaultMatrixTest, HitWindowTargetsTheKthOperation) {

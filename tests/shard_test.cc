@@ -1,5 +1,5 @@
 // Shard subsystem tests: the partitioner's carving invariants (disjoint
-// cover, zero-copy aliasing, FK-closure restriction, fingerprint equality)
+// cover, zero-copy aliasing, fingerprint equality)
 // and the sharded trainer's determinism contract — the merged model depends
 // only on (database, train_ids, options), never on thread count, scheduling,
 // or the order train ids arrive in; one shard reproduces unsharded training
@@ -18,6 +18,8 @@
 #include "common/metrics.h"
 #include "core/classifier.h"
 #include "core/model_io.h"
+#include "datagen/financial.h"
+#include "datagen/mutagenesis.h"
 #include "datagen/synthetic.h"
 #include "shard/partition.h"
 #include "shard/sharded_trainer.h"
@@ -87,10 +89,8 @@ TEST(ShardOfKeyTest, DeterministicAndInRange) {
 TEST(PartitionTest, SingleShardKeepsAllTrainIdsInOrder) {
   Database db = MakeDb(11);
   std::vector<TupleId> ids = AllIds(db);
-  shard::PartitionOptions opts;
-  opts.num_shards = 1;
   StatusOr<std::vector<shard::Shard>> parts =
-      shard::PartitionDatabase(db, ids, opts);
+      shard::PartitionDatabase(db, ids, /*num_shards=*/1);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ((*parts)[0].parent_ids, ids);
@@ -101,10 +101,8 @@ TEST(PartitionTest, SingleShardKeepsAllTrainIdsInOrder) {
 TEST(PartitionTest, ShardsFormDisjointCoverWithMatchingLabels) {
   Database db = MakeDb(12);
   std::vector<TupleId> ids = AllIds(db);
-  shard::PartitionOptions opts;
-  opts.num_shards = 4;
   StatusOr<std::vector<shard::Shard>> parts =
-      shard::PartitionDatabase(db, ids, opts);
+      shard::PartitionDatabase(db, ids, /*num_shards=*/4);
   ASSERT_TRUE(parts.ok());
   std::vector<TupleId> seen;
   for (const shard::Shard& s : *parts) {
@@ -121,11 +119,8 @@ TEST(PartitionTest, ShardsFormDisjointCoverWithMatchingLabels) {
 
 TEST(PartitionTest, SharedModeAliasesParentColumns) {
   Database db = MakeDb(13);
-  shard::PartitionOptions opts;
-  opts.num_shards = 2;
-  opts.mode = shard::PartitionMode::kShared;
   StatusOr<std::vector<shard::Shard>> parts =
-      shard::PartitionDatabase(db, AllIds(db), opts);
+      shard::PartitionDatabase(db, AllIds(db), /*num_shards=*/2);
   ASSERT_TRUE(parts.ok());
   int aliased = 0;
   for (const shard::Shard& s : *parts) {
@@ -145,74 +140,22 @@ TEST(PartitionTest, SharedModeAliasesParentColumns) {
   EXPECT_GT(aliased, 0);
 }
 
-TEST(PartitionTest, ClosureModeRestrictsNonTargetRelations) {
-  // The synthetic generator's join graph is dense enough that a closure
-  // usually reaches every tuple, so build the restriction case by hand:
-  // four target tuples over two A parents, plus an A row nothing references.
-  Database db;
-  RelationSchema t("T");
-  t.AddPrimaryKey("id");
-  t.AddForeignKey("a_id", 1);
-  db.AddRelation(std::move(t));
-  RelationSchema a("A");
-  a.AddPrimaryKey("id");
-  a.AddCategorical("c");
-  db.AddRelation(std::move(a));
-  Relation& target = db.mutable_relation(0);
-  for (int64_t i = 0; i < 4; ++i) {
-    TupleId row = target.AddTuple();
-    target.SetInt(row, 0, i);
-    target.SetInt(row, 1, i < 2 ? 1 : 2);  // tuples 0,1 → A:1; 2,3 → A:2
-  }
-  Relation& parent_a = db.mutable_relation(1);
-  for (int64_t pk : {1, 2, 3}) {  // A:3 is referenced by nothing
-    TupleId row = parent_a.AddTuple();
-    parent_a.SetInt(row, 0, pk);
-    parent_a.SetInt(row, 1, 0);
-  }
-  db.SetTarget(0);
-  db.SetLabels({0, 1, 0, 1}, 2);
-  ASSERT_TRUE(db.Finalize().ok());
-
-  shard::PartitionOptions opts;
-  opts.num_shards = 1;
-  opts.mode = shard::PartitionMode::kFkClosure;
-  StatusOr<std::vector<shard::Shard>> parts =
-      shard::PartitionDatabase(db, {0, 1}, opts);
-  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-  const shard::Shard& s = (*parts)[0];
-  // Target carries exactly the shard's train tuples; the A relation keeps
-  // only the closure-reachable row A:1 — A:2 and the orphan A:3 are gone.
-  EXPECT_EQ(s.db.target_relation().num_tuples(), 2);
-  ASSERT_EQ(s.db.relation(1).num_tuples(), 1);
-  EXPECT_EQ(s.db.relation(1).IntColumn(0)[0], 1);
-}
-
 TEST(PartitionTest, ShardFingerprintMatchesParent) {
   Database db = MakeDb(15);
-  for (shard::PartitionMode mode :
-       {shard::PartitionMode::kShared, shard::PartitionMode::kFkClosure}) {
-    shard::PartitionOptions opts;
-    opts.num_shards = 3;
-    opts.mode = mode;
-    StatusOr<std::vector<shard::Shard>> parts =
-        shard::PartitionDatabase(db, AllIds(db), opts);
-    ASSERT_TRUE(parts.ok());
-    for (const shard::Shard& s : *parts) {
-      // Clauses learned on a shard must resolve identically on the parent.
-      EXPECT_EQ(SchemaFingerprint(s.db), SchemaFingerprint(db));
-    }
+  StatusOr<std::vector<shard::Shard>> parts =
+      shard::PartitionDatabase(db, AllIds(db), /*num_shards=*/3);
+  ASSERT_TRUE(parts.ok());
+  for (const shard::Shard& s : *parts) {
+    // Clauses learned on a shard must resolve identically on the parent.
+    EXPECT_EQ(SchemaFingerprint(s.db), SchemaFingerprint(db));
   }
 }
 
 TEST(PartitionTest, RejectsBadArguments) {
   Database db = MakeDb(16);
-  shard::PartitionOptions opts;
-  opts.num_shards = 0;
-  EXPECT_FALSE(shard::PartitionDatabase(db, AllIds(db), opts).ok());
-  opts.num_shards = 2;
+  EXPECT_FALSE(shard::PartitionDatabase(db, AllIds(db), 0).ok());
   std::vector<TupleId> beyond = {db.target_relation().num_tuples()};
-  EXPECT_FALSE(shard::PartitionDatabase(db, beyond, opts).ok());
+  EXPECT_FALSE(shard::PartitionDatabase(db, beyond, 2).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -242,19 +185,32 @@ TEST(ShardedTrainerTest, OneShardMatchesUnshardedByteIdentically) {
 }
 
 TEST(ShardedTrainerTest, ModelInvariantToThreadCount) {
-  Database db = MakeDb(22);
-  std::vector<TupleId> ids = AllIds(db);
-  for (int shards : {2, 4}) {
-    shard::ShardOptions sopts;
-    sopts.num_shards = shards;
-    CrossMineOptions base;
-    base.num_threads = 1;
-    std::string reference = ShardedBytes(db, ids, base, sopts, "t1");
-    ASSERT_FALSE(reference.empty());
-    for (int threads : {2, 4}) {
-      base.num_threads = threads;
-      EXPECT_EQ(ShardedBytes(db, ids, base, sopts, "tn"), reference)
-          << "K=" << shards << " threads=" << threads;
+  // K>1 on all three paper datasets: byte-identical across thread counts
+  // and across repeated runs.
+  struct Named {
+    const char* tag;
+    StatusOr<Database> db;
+  };
+  Named datasets[] = {
+      {"synthetic", MakeDb(22)},
+      {"financial", datagen::GenerateFinancialDatabase({})},
+      {"mutagenesis", datagen::GenerateMutagenesisDatabase({})},
+  };
+  for (Named& d : datasets) {
+    ASSERT_TRUE(d.db.ok()) << d.tag << ": " << d.db.status().ToString();
+    std::vector<TupleId> ids = AllIds(*d.db);
+    for (int shards : {2, 4}) {
+      shard::ShardOptions sopts;
+      sopts.num_shards = shards;
+      CrossMineOptions base;
+      base.num_threads = 1;
+      std::string reference = ShardedBytes(*d.db, ids, base, sopts, "t1");
+      ASSERT_FALSE(reference.empty());
+      for (int threads : {2, 4, 4}) {
+        base.num_threads = threads;
+        EXPECT_EQ(ShardedBytes(*d.db, ids, base, sopts, "tn"), reference)
+            << d.tag << " K=" << shards << " threads=" << threads;
+      }
     }
   }
 }
@@ -267,19 +223,6 @@ TEST(ShardedTrainerTest, ModelInvariantToTrainIdOrder) {
   std::string reference = ShardedBytes(db, ids, {}, sopts, "fwd");
   std::reverse(ids.begin(), ids.end());
   EXPECT_EQ(ShardedBytes(db, ids, {}, sopts, "rev"), reference);
-}
-
-TEST(ShardedTrainerTest, ClosureModeIsDeterministic) {
-  Database db = MakeDb(24);
-  std::vector<TupleId> ids = AllIds(db);
-  shard::ShardOptions sopts;
-  sopts.num_shards = 4;
-  sopts.partition = shard::PartitionMode::kFkClosure;
-  CrossMineOptions base;
-  base.num_threads = 1;
-  std::string reference = ShardedBytes(db, ids, base, sopts, "cl1");
-  base.num_threads = 4;
-  EXPECT_EQ(ShardedBytes(db, ids, base, sopts, "cl4"), reference);
 }
 
 TEST(ShardedTrainerTest, MergeSampleIsDeterministic) {

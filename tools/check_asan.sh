@@ -17,15 +17,10 @@
 # classic off-by-one territory, as are the radix passes and buffer swaps
 # of `SortPairs` that the idset suite checks, and the IndexCache
 # suite thrashes eviction while handles are still live — a use-after-free
-# hunt by construction. The shard suite rides
-# along because the partitioner's kShared mode aliases parent column storage
-# into per-shard relations — exactly the borrowed-span lifetime pattern ASan
-# polices. The process-supervision suite joins it: the supervisor's
-# spawn/reap/timeout loop, the checkpoint parse of worker-produced bytes,
-# and the fork/exec argv+envp assembly run sanitized — and the workers it
-# spawns are this build's own sanitized CLI, so the train-shard path is
-# memory-checked end to end. The prediction referee rides along: the
-# clause evaluator's packed (tuple, position) pairs index |ids|-sized
+# hunt by construction. The shard suite rides along because the
+# partitioner aliases parent column storage into per-shard relations —
+# exactly the borrowed-span lifetime pattern ASan polices. The prediction
+# referee rides along: the clause evaluator's packed (tuple, position) pairs index |ids|-sized
 # position arrays, and its in-place pair compaction is offset arithmetic.
 #
 # Usage: tools/check_asan.sh [build-dir]   (default: build-asan)
@@ -39,7 +34,7 @@ cmake --build "$BUILD_DIR" -j \
   --target protocol_test serve_test propagation_oracle_test idset_test \
   attr_index_test index_cache_test csv_corruption_test columnar_test \
   columnar_corruption_test fault_matrix_test shard_test \
-  shard_process_test predict_referee_test crossmine_cli serve_client
+  predict_referee_test crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
@@ -54,7 +49,6 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/columnar_corruption_test
 "$BUILD_DIR"/tests/fault_matrix_test
 "$BUILD_DIR"/tests/shard_test
-"$BUILD_DIR"/tests/shard_process_test
 "$BUILD_DIR"/tests/predict_referee_test
 bash tools/check_serve_smoke.sh \
   "$BUILD_DIR"/tools/crossmine "$BUILD_DIR"/tools/serve_client

@@ -8,8 +8,10 @@
 # (train.propagation.pairs, train.propagation.peak_id_bytes), per-class
 # clause counts and the predict-side frontier counter
 # (predict.propagated_pairs). Malformed flag
-# values must be rejected before any output: exit 2, nothing on stdout, no
-# model file, and a stderr message naming the flag.
+# values, out-of-range shard counts and unknown flags must be rejected
+# before any output: exit 2, nothing on stdout, no model file, and a stderr
+# message naming the flag. Negative values are values: `--seed -7` and
+# `--min-gain -1` must be read as given, not as a missing value.
 #
 # Usage: tools/check_report_json.sh [crossmine-binary]
 #        (default: build/tools/crossmine)
@@ -114,5 +116,38 @@ reject() {
 reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads four
 reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain 1,5
 reject --mode predict "$DIR/data" "$DIR/reject.cmm" --mode bestest
+reject --shards train "$DIR/data" "$DIR/reject.cmm" --shards -1
+reject --shards train "$DIR/data" "$DIR/reject.cmm" --shards 0
+reject --shard-sample train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
+  --shard-sample -5
+reject --shard-exec train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
+  --shard-exec process
+reject --resume train "$DIR/data" "$DIR/reject.cmm" --shards 2 --resume
+reject --memory-budget-mb train "$DIR/data" "$DIR/reject.cmm" \
+  --memory-budget-mb -5
+reject --thredas train "$DIR/data" "$DIR/reject.cmm" --thredas 4
+reject --shard-quorom train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
+  --shard-quorom 1
+
+# A negative value is the flag's value, not a missing one: --seed -7
+# generates a different database than --seed 1, and --min-gain -1 trains a
+# different model than --min-gain 1 (on a database where the two
+# thresholds select different literals).
+"$BIN" generate synthetic "$DIR/neg.cmdb" --seed -7 --relations 6 \
+  --tuples 120 > /dev/null
+"$BIN" generate synthetic "$DIR/one.cmdb" --seed 1 --relations 6 \
+  --tuples 120 > /dev/null
+if cmp -s "$DIR/neg.cmdb" "$DIR/one.cmdb"; then
+  echo "check_report_json: --seed -7 generated the --seed 1 database" >&2
+  exit 1
+fi
+"$BIN" generate synthetic "$DIR/gain" --seed 3 --relations 6 --tuples 120 \
+  > /dev/null
+"$BIN" train "$DIR/gain" "$DIR/gain_neg.cmm" --min-gain -1 > /dev/null
+"$BIN" train "$DIR/gain" "$DIR/gain_one.cmm" --min-gain 1 > /dev/null
+if cmp -s "$DIR/gain_neg.cmm" "$DIR/gain_one.cmm"; then
+  echo "check_report_json: --min-gain -1 trained the --min-gain 1 model" >&2
+  exit 1
+fi
 
 echo "check_report_json: OK"

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -51,7 +52,6 @@
 #include "relational/index_cache.h"
 #include "serve/server.h"
 #include "shard/sharded_trainer.h"
-#include "shard/worker.h"
 #include "storage/columnar.h"
 #include "storage/storage.h"
 #include "serve/tcp.h"
@@ -126,8 +126,11 @@ int Usage() {
       "  points, e.g. \"model_io.save.rename@1=EIO\". Also read from the\n"
       "  CROSSMINE_FAULT_PLAN environment variable.\n"
       "\n"
-      "numeric flags: a value that does not parse as a number exits 2\n"
-      "  naming the flag, as does an unknown --mode value.\n"
+      "flags: a flag's value is the next token unless it starts with\n"
+      "  `--` (so negative numbers parse). An unknown flag, a value that\n"
+      "  does not parse as a number, an out-of-range --shards or\n"
+      "  --shard-sample, and an unknown --mode value each exit 2 naming\n"
+      "  the flag.\n"
       "\n"
       "model options (evaluate / train):\n"
       "  --sampling             enable negative sampling (off by default)\n"
@@ -139,47 +142,50 @@ int Usage() {
       "  --threads N            clause-search worker threads (0 = auto)\n"
       "  --seed N               sampling seed\n"
       "  --mode best|vote|list  prediction mode\n"
-      "  --shards K             shard-parallel training: hash-split the\n"
-      "                         target relation into K shards, train them\n"
-      "                         concurrently, merge deterministically\n"
-      "                         (K=1 reproduces unsharded byte-identically)\n"
-      "  --shard-mode shared|closure\n"
-      "                         non-target relations: zero-copy shared\n"
-      "                         spans (default) or per-shard FK-closure\n"
-      "                         restriction\n"
+      "  --shards K             shard-parallel training (K >= 1): hash-split\n"
+      "                         the target relation into K shards, train\n"
+      "                         them concurrently as threads of this\n"
+      "                         process, merge deterministically (K=1\n"
+      "                         reproduces unsharded byte-identically)\n"
       "  --shard-sample N       re-score merged clauses on N sampled\n"
-      "                         training tuples (0 = full training set)\n"
-      "  --shard-exec inprocess|process\n"
-      "                         where shard training runs: threads of this\n"
-      "                         process (default) or supervised\n"
-      "                         `train-shard` worker processes over durable\n"
-      "                         .cmdb slices with checkpointed merge —\n"
-      "                         worker crashes/hangs are retried, and the\n"
-      "                         final model is byte-identical either way\n"
-      "  --shard-run-dir PATH   slice/checkpoint directory for process\n"
-      "                         exec (train default: <model>.shardrun;\n"
-      "                         evaluate requires it explicitly)\n"
-      "  --shard-timeout-s S    per-worker wall-clock budget before\n"
-      "                         SIGKILL + retry (0 = none)\n"
-      "  --shard-retries N      retries per shard after the first attempt\n"
-      "                         (default 2)\n"
-      "  --shard-quorum K       succeed once K shards checkpointed even if\n"
-      "                         the rest failed permanently (0 = need all)\n"
-      "  --resume               reuse valid checkpoints already in the run\n"
-      "                         directory (same database, partition and\n"
-      "                         options) — recovery after supervisor death\n");
+      "                         training tuples (0 = full training set)\n");
   return 2;
 }
 
-/// Parses trailing --key value / --flag options.
-std::map<std::string, std::string> ParseOptions(int argc, char** argv,
-                                                int first) {
+/// Flags `main` applies before dispatch; every subcommand accepts them.
+const char* const kGlobalFlags[] = {"fault-plan", "memory-budget-mb"};
+
+/// Flags ParseCrossMineOptions reads (evaluate / train).
+const char* const kModelFlags[] = {
+    "sampling", "neg-pos-ratio", "max-negative", "min-gain", "no-lookahead",
+    "no-aggregations", "threads", "seed", "mode", "shards", "shard-sample"};
+
+/// `flags` plus the model flags.
+std::vector<std::string> WithModelFlags(std::vector<std::string> flags) {
+  flags.insert(flags.end(), std::begin(kModelFlags), std::end(kModelFlags));
+  return flags;
+}
+
+/// Parses trailing --key value / --flag options. A flag's value is the next
+/// token unless that starts with `--` (so `--seed -7` reads -7); a flag with
+/// no value reads "1". A flag that is neither in `accepted` nor global exits
+/// 2 naming it, before the subcommand writes any output.
+std::map<std::string, std::string> ParseOptions(
+    int argc, char** argv, int first,
+    const std::vector<std::string>& accepted) {
   std::map<std::string, std::string> opts;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) continue;
     key = key.substr(2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end() &&
+        std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), key) ==
+            std::end(kGlobalFlags)) {
+      std::fprintf(stderr, "unknown flag --%s for %s\n", key.c_str(),
+                   argv[1]);
+      std::exit(2);
+    }
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       opts[key] = argv[++i];
     } else {
       opts[key] = "1";
@@ -237,6 +243,9 @@ CrossMineOptions ParseCrossMineOptions(
   // 1 = sequential. Any value trains the byte-identical model.
   o.num_threads = static_cast<int>(OptInt(opts, "threads", 0));
   o.num_shards = static_cast<int>(OptInt(opts, "shards", 1));
+  if (o.num_shards < 1) {
+    BadFlagValue("shards", opts.at("shards"), "an integer >= 1");
+  }
   auto mode = opts.find("mode");
   if (mode != opts.end()) {
     if (mode->second == "best") {
@@ -252,44 +261,16 @@ CrossMineOptions ParseCrossMineOptions(
   return o;
 }
 
-/// Parses the `--shard-*` flags into shard::ShardOptions (the shard count
-/// itself rides in CrossMineOptions::num_shards).
+/// Parses `--shard-sample` into shard::ShardOptions (the shard count itself
+/// rides in CrossMineOptions::num_shards).
 shard::ShardOptions ParseShardOptions(
     const std::map<std::string, std::string>& opts) {
   shard::ShardOptions out;
-  if (auto it = opts.find("shard-mode"); it != opts.end()) {
-    if (it->second == "shared") {
-      out.partition = shard::PartitionMode::kShared;
-    } else if (it->second == "closure") {
-      out.partition = shard::PartitionMode::kFkClosure;
-    } else {
-      BadFlagValue("shard-mode", it->second, "shared or closure");
-    }
+  int64_t sample = OptInt(opts, "shard-sample", 0);
+  if (sample < 0) {
+    BadFlagValue("shard-sample", opts.at("shard-sample"), "an integer >= 0");
   }
-  out.merge_sample = static_cast<uint64_t>(OptInt(opts, "shard-sample", 0));
-  if (auto it = opts.find("shard-exec"); it != opts.end()) {
-    if (it->second == "inprocess") {
-      out.exec = shard::ShardExecMode::kInProcess;
-    } else if (it->second == "process") {
-      out.exec = shard::ShardExecMode::kProcess;
-    } else {
-      BadFlagValue("shard-exec", it->second, "inprocess or process");
-    }
-  }
-  out.supervisor.quorum = static_cast<int>(OptInt(opts, "shard-quorum", 0));
-  out.supervisor.worker_timeout_seconds =
-      OptDouble(opts, "shard-timeout-s", 0.0);
-  int64_t retries = OptInt(opts, "shard-retries", 2);
-  out.supervisor.max_attempts = static_cast<int>(std::max<int64_t>(
-      1, retries + 1));
-  if (auto it = opts.find("shard-run-dir"); it != opts.end()) {
-    out.supervisor.run_dir = it->second;
-  }
-  out.supervisor.resume = opts.count("resume") > 0;
-  // Workers inherit the parent's index-memory budget: each one gets the
-  // same --memory-budget-mb cap on its own cache.
-  out.supervisor.memory_budget_mb =
-      static_cast<uint64_t>(OptInt(opts, "memory-budget-mb", 0));
+  out.merge_sample = static_cast<uint64_t>(sample);
   return out;
 }
 
@@ -297,10 +278,7 @@ shard::ShardOptions ParseShardOptions(
 /// through the ShardedClassifier (even at --shards 1, so the identity path
 /// is exercisable end to end).
 bool WantsSharding(const std::map<std::string, std::string>& opts) {
-  return opts.count("shards") > 0 || opts.count("shard-mode") > 0 ||
-         opts.count("shard-sample") > 0 || opts.count("shard-exec") > 0 ||
-         opts.count("shard-run-dir") > 0 || opts.count("shard-timeout-s") > 0 ||
-         opts.count("shard-retries") > 0 || opts.count("shard-quorum") > 0;
+  return opts.count("shards") > 0 || opts.count("shard-sample") > 0;
 }
 
 /// Opens a database of either format, honoring `--no-verify`, and prints
@@ -331,7 +309,9 @@ int Generate(int argc, char** argv) {
   if (argc < 4) return Usage();
   std::string kind = argv[2];
   std::string dir = argv[3];
-  auto opts = ParseOptions(argc, argv, 4);
+  auto opts = ParseOptions(
+      argc, argv, 4,
+      {"seed", "relations", "tuples", "fkeys", "loans", "molecules"});
   uint64_t seed = static_cast<uint64_t>(OptInt(opts, "seed", 42));
 
   StatusOr<Database> db = Status::InvalidArgument("unknown kind: " + kind);
@@ -371,7 +351,7 @@ int Generate(int argc, char** argv) {
 
 int Convert(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto opts = ParseOptions(argc, argv, 4);
+  auto opts = ParseOptions(argc, argv, 4, {"no-verify"});
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
   Status st = storage::SaveDatabase(*db, argv[3]);
@@ -442,7 +422,7 @@ void PrintInfoJson(const std::string& path,
 int Info(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::string path = argv[2];
-  auto opts = ParseOptions(argc, argv, 3);
+  auto opts = ParseOptions(argc, argv, 3, {"json"});
   bool json = opts.count("json") > 0;
   StatusOr<storage::Format> format = storage::SniffFormat(path);
   if (!format.ok()) {
@@ -519,7 +499,8 @@ int Info(int argc, char** argv) {
 
 int Inspect(int argc, char** argv) {
   if (argc < 3) return Usage();
-  StatusOr<Database> db = LoadDb(argv[2], ParseOptions(argc, argv, 3));
+  StatusOr<Database> db =
+      LoadDb(argv[2], ParseOptions(argc, argv, 3, {"no-verify"}));
   if (!db.ok()) return 1;
   std::printf("%s: %d relations, %llu tuples, %zu join edges, %d classes\n",
               argv[2], db->num_relations(),
@@ -569,7 +550,9 @@ void PrintFoldJson(const char* classifier, int fold,
 
 int Evaluate(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto opts = ParseOptions(argc, argv, 3);
+  auto opts = ParseOptions(
+      argc, argv, 3,
+      WithModelFlags({"folds", "classifier", "report", "no-verify"}));
   int folds = static_cast<int>(OptInt(opts, "folds", 10));
   ReportMode report = ParseReportMode(opts);
 
@@ -584,18 +567,6 @@ int Evaluate(int argc, char** argv) {
   eval::ClassifierFactory factory;
   const char* display = "CrossMine";
   if (classifier == "crossmine" && WantsSharding(opts)) {
-    if (shard_opts.exec == shard::ShardExecMode::kProcess) {
-      if (shard_opts.supervisor.run_dir.empty()) {
-        // Unlike train there is no natural output path to derive one from,
-        // and each fold recycles (wipes) the directory — make the caller
-        // pick a location consciously.
-        std::fprintf(stderr,
-                     "evaluate with --shard-exec process needs an explicit "
-                     "--shard-run-dir\n");
-        return 2;
-      }
-      shard_opts.supervisor.shutdown = ShutdownNotifier::Install();
-    }
     display = "ShardedCrossMine";
     factory = [&] {
       return std::make_unique<shard::ShardedClassifier>(model_opts,
@@ -658,27 +629,20 @@ int Evaluate(int argc, char** argv) {
 
 int Train(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto opts = ParseOptions(argc, argv, 4);
+  auto opts =
+      ParseOptions(argc, argv, 4, WithModelFlags({"report", "no-verify"}));
   ReportMode report = ParseReportMode(opts);
   CrossMineOptions model_opts = ParseCrossMineOptions(opts);
-  // Any --shard-* flag routes through the sharded trainer — --shards 1
+  // Any shard flag routes through the sharded trainer — --shards 1
   // included, so the byte-identity path is exercisable end to end. The
   // saved model is the merged model: an ordinary .cmm.
   bool sharded = WantsSharding(opts);
-  shard::ShardOptions shard_opts =
-      sharded ? ParseShardOptions(opts) : shard::ShardOptions{};
+  shard::ShardOptions shard_opts = ParseShardOptions(opts);
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
   std::vector<TupleId> all;
   for (TupleId t = 0; t < db->target_relation().num_tuples(); ++t) {
     all.push_back(t);
-  }
-  if (sharded && shard_opts.exec == shard::ShardExecMode::kProcess) {
-    if (shard_opts.supervisor.run_dir.empty()) {
-      shard_opts.supervisor.run_dir = std::string(argv[3]) + ".shardrun";
-    }
-    // SIGINT/SIGTERM must drain worker processes, not orphan them.
-    shard_opts.supervisor.shutdown = ShutdownNotifier::Install();
   }
   shard::ShardedClassifier sharded_model(model_opts, shard_opts);
   CrossMineClassifier model(model_opts);
@@ -720,7 +684,7 @@ int Train(int argc, char** argv) {
 
 int Predict(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto opts = ParseOptions(argc, argv, 4);
+  auto opts = ParseOptions(argc, argv, 4, {"mode", "report", "no-verify"});
   ReportMode report = ParseReportMode(opts);
   PredictionMode mode = ParseCrossMineOptions(opts).prediction_mode;
   StatusOr<Database> db = LoadDb(argv[2], opts);
@@ -764,7 +728,8 @@ int Predict(int argc, char** argv) {
 
 int Explain(int argc, char** argv) {
   if (argc < 5) return Usage();
-  StatusOr<Database> db = LoadDb(argv[2], ParseOptions(argc, argv, 5));
+  StatusOr<Database> db =
+      LoadDb(argv[2], ParseOptions(argc, argv, 5, {"no-verify"}));
   if (!db.ok()) return 1;
   StatusOr<CrossMineClassifier> model = LoadModel(*db, argv[3]);
   if (!model.ok()) {
@@ -808,7 +773,10 @@ int Serve(int argc, char** argv) {
   while (first_opt < argc && std::strncmp(argv[first_opt], "--", 2) != 0) {
     ++first_opt;
   }
-  auto opts = ParseOptions(argc, argv, first_opt);
+  auto opts = ParseOptions(
+      argc, argv, first_opt,
+      {"threads", "max-queue", "batch-size", "deadline-ms", "idle-timeout-ms",
+       "max-connections", "port", "report", "no-verify"});
   ReportMode report = ParseReportMode(opts);
   serve::ServerOptions server_opts;
   server_opts.threads = static_cast<int>(OptInt(opts, "threads", 1));
@@ -895,9 +863,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --fault-plan: %s\n", st.ToString().c_str());
         return 2;
       }
-      // Export the plan so spawned shard workers inherit it — a plan naming
-      // a worker-side point (shard.checkpoint.*) arms in every child.
-      ::setenv("CROSSMINE_FAULT_PLAN", argv[i + 1], 1);
     }
     // Global index-memory budget, honored by every subcommand: caps the
     // summed footprint of cached index artifacts (LRU eviction + rebuild on
@@ -906,7 +871,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--memory-budget-mb") == 0) {
       char* end = nullptr;
       unsigned long long mb = std::strtoull(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0') {
+      if (end == argv[i + 1] || *end != '\0' || argv[i + 1][0] == '-') {
         std::fprintf(stderr, "bad --memory-budget-mb: %s\n", argv[i + 1]);
         return 2;
       }
@@ -922,9 +887,6 @@ int main(int argc, char** argv) {
     }
   }
   std::string command = argv[1];
-  // Hidden subcommand: the shard-training worker the ShardSupervisor
-  // spawns. Not in Usage() — its argv is an internal contract.
-  if (command == "train-shard") return shard::TrainShardMain(argc, argv);
   if (command == "generate") return Generate(argc, argv);
   if (command == "convert") return Convert(argc, argv);
   if (command == "info") return Info(argc, argv);
