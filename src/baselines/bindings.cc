@@ -40,6 +40,7 @@ bool BindingsTable::Join(const JoinEdge& edge, int col, size_t max_rows,
   if (use_index) {
     std::shared_ptr<const AttrIndex> handle = dst.GetAttrIndex(edge.to_attr);
     const AttrIndex& index = *handle;
+    CM_CHECK(index.has_postings());  // join edges run between keys
     for (size_t r = 0; r < n; ++r) {
       int64_t v = src_col[cell(r, col)];
       if (v == kNullValue) continue;

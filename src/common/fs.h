@@ -44,7 +44,10 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents,
                        const WriteFaultPoints& faults = {});
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. Used as the
-/// content checksum of saved model files.
+/// content checksum of saved model files and of every `.cmdb` segment. On
+/// x86-64 CPUs with PCLMULQDQ (checked at run time) it folds with
+/// carry-less multiplies; elsewhere it runs a slicing-by-8 table loop. Both
+/// compute the same value.
 uint32_t Crc32(std::string_view data);
 
 }  // namespace crossmine

@@ -125,7 +125,7 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
   const AttrIndex& index = *handle;
   const size_t num_values = index.num_values();
 
-  // Counting-sort the tuple runs by value index. NULL satisfies no
+  // Counting-sort the tuple runs by value slot. NULL satisfies no
   // category, so NULL runs land in a trailing bucket no value reads.
   // Placement advances each bucket's cursor to its end, leaving the runs
   // of value v at order_[v == 0 ? 0 : bucket_[v - 1], bucket_[v]).
@@ -151,9 +151,11 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
     order_[bucket_[run_value_[r]]++] = static_cast<uint32_t>(r);
   }
 
-  // `index.values` ascends, so candidates are offered — and gain ties
-  // broken — in category-value order.
+  // Slots ascend by value, so candidates are offered — and gain ties
+  // broken — in category-value order. An empty direct-addressed slot is a
+  // value the relation does not hold: no candidate.
   for (size_t v = 0; v < num_values; ++v) {
+    if (index.posting_count(v) == 0) continue;
     uint32_t pos_cov = 0, neg_cov = 0;
     const uint32_t begin = v == 0 ? 0 : bucket_[v - 1];
     const uint32_t end = bucket_[v];
@@ -165,7 +167,7 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
     Constraint c;
     c.attr = attr;
     c.cmp = CmpOp::kEq;
-    c.category = index.values[v];
+    c.category = index.value(v);
     Offer(best, c, pos_cov, neg_cov);
   }
 }

@@ -33,6 +33,7 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
   std::shared_ptr<const AttrIndex> handle =
       db.relation(edge.to_rel).GetAttrIndex(edge.to_attr);
   const AttrIndex& index = *handle;
+  CM_CHECK(index.has_postings());  // join edges run between keys
   PropagationScratch local;
   PropagationScratch& sc = scratch != nullptr ? *scratch : local;
 

@@ -36,8 +36,8 @@ struct PropagationResult {
 /// amortizes the buffers across every propagation that lane runs, so after
 /// warm-up only the result itself allocates.
 struct PropagationScratch {
-  /// (destination value index, id) keys, one per distinct id reaching a
-  /// join value; runs of one value index are that value's merged idset
+  /// (destination value slot, id) keys, one per distinct id reaching a
+  /// join value; runs of one value slot are that value's merged idset
   IdPairs keys;
   /// start of each value's run in `keys`, plus an end sentinel
   std::vector<uint32_t> groups;
@@ -62,7 +62,7 @@ struct PropagationScratch {
 /// The walk costs what the source pairs reach: each source tuple run probes
 /// the destination's `AttrIndex` once (NULL never matches, SQL semantics),
 /// and its ids are merged per join value by a radix sort (`SortPairs`) of
-/// their `(value index, id)` keys. The §4.3 guards are judged on the
+/// their `(value slot, id)` keys. The §4.3 guards are judged on the
 /// per-value volumes (`|merged idset| × posting count`) before any output
 /// pair exists, so a rejected edge allocates nothing. Only then are the
 /// reached destination tuples radix-sorted and the pairs written, in

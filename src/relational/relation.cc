@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/memadvise.h"
+#include "common/radix_sort.h"
 #include "relational/index_cache.h"
 
 namespace crossmine {
@@ -44,56 +45,74 @@ void RecordSource(const Column<T>& col, IndexCache::Artifact* artifact) {
 // Slack of `DenseValueRange`: small columns always take the counting sort.
 constexpr uint64_t kDenseRangeSlack = 1024;
 
-// Counting sort over the value range [lo, lo + span] of `count` non-NULL
-// values. Offsets into the range are taken in unsigned arithmetic, so values
-// near INT64_MIN or INT64_MAX cannot overflow.
+// Counting sort into the direct-addressed layout over the value range
+// [lo, lo + span] of `count` non-NULL values. Offsets into the range are
+// taken in unsigned arithmetic, so values near INT64_MIN or INT64_MAX
+// cannot overflow.
 void BuildByCounting(const int64_t* col, TupleId n, int64_t lo, uint64_t span,
-                     size_t count, AttrIndex* index) {
+                     size_t count, bool with_postings, AttrIndex* index) {
   const uint64_t base = static_cast<uint64_t>(lo);
-  std::vector<uint32_t> cursor(span + 1, 0);
-  size_t distinct = 0;
+  index->lo = lo;
+  // Count each value into its slot, turn the counts into slot ends with an
+  // inclusive prefix sum, then place the tuples back to front: each slot's
+  // cursor walks down to the slot's start, and its posting fills from the
+  // top with descending tuples, so it ascends.
+  std::vector<uint32_t>& offsets = index->offsets;
+  offsets.assign(span + 2, 0);
   for (TupleId t = 0; t < n; ++t) {
-    if (col[t] == kNullValue) continue;
-    if (cursor[static_cast<uint64_t>(col[t]) - base]++ == 0) ++distinct;
+    if (col[t] != kNullValue) ++offsets[static_cast<uint64_t>(col[t]) - base];
   }
-  index->values.reserve(distinct);
-  index->offsets.reserve(distinct + 1);
-  uint32_t start = 0;
-  for (uint64_t off = 0; off <= span; ++off) {
-    const uint32_t c = cursor[off];
-    if (c == 0) continue;
-    index->values.push_back(static_cast<int64_t>(base + off));
-    index->offsets.push_back(start);
-    cursor[off] = start;
-    start += c;
+  uint32_t end = 0;
+  for (uint32_t& o : offsets) o = end += o;
+  if (!with_postings) {
+    // A slot starts where the one before it ends.
+    for (uint64_t off = span + 1; off > 0; --off) {
+      offsets[off] = offsets[off - 1];
+    }
+    offsets[0] = 0;
+    return;
   }
-  index->offsets.push_back(start);
   index->postings.resize(count);
-  for (TupleId t = 0; t < n; ++t) {
+  for (TupleId t = n; t-- > 0;) {
     if (col[t] == kNullValue) continue;
-    index->postings[cursor[static_cast<uint64_t>(col[t]) - base]++] = t;
+    index->postings[--offsets[static_cast<uint64_t>(col[t]) - base]] = t;
   }
 }
 
-// Sorts (value, tuple) pairs: distinct values come out ascending and each
-// posting list ascending (pairs with equal value order by tuple id).
-void BuildBySort(const int64_t* col, TupleId n, size_t count,
-                 AttrIndex* index) {
-  std::vector<std::pair<int64_t, TupleId>> pairs;
-  pairs.reserve(count);
+// Radix-sorts (value - lo, tuple) records into the sorted layout. The
+// records enter in tuple order and the sort is stable, so each posting
+// ascends, for any int64 span.
+void BuildBySort(const int64_t* col, TupleId n, int64_t lo, size_t count,
+                 bool with_postings, AttrIndex* index) {
+  struct Entry {
+    uint64_t off;
+    TupleId tuple;
+  };
+  const uint64_t base = static_cast<uint64_t>(lo);
+  std::vector<Entry> entries;
+  entries.reserve(count);
   for (TupleId t = 0; t < n; ++t) {
-    if (col[t] != kNullValue) pairs.emplace_back(col[t], t);
+    if (col[t] != kNullValue) {
+      entries.push_back({static_cast<uint64_t>(col[t]) - base, t});
+    }
   }
-  std::sort(pairs.begin(), pairs.end());
-  index->postings.reserve(count);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (index->values.empty() || pairs[i].first != index->values.back()) {
-      index->values.push_back(pairs[i].first);
+  std::vector<Entry> tmp;
+  RadixSort(&entries, &tmp, [](const Entry& e) { return e.off; });
+  size_t distinct = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    distinct += i == 0 || entries[i].off != entries[i - 1].off;
+  }
+  index->values.reserve(distinct);
+  index->offsets.reserve(distinct + 1);
+  if (with_postings) index->postings.reserve(count);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].off != entries[i - 1].off) {
+      index->values.push_back(static_cast<int64_t>(base + entries[i].off));
       index->offsets.push_back(static_cast<uint32_t>(i));
     }
-    index->postings.push_back(pairs[i].second);
+    if (with_postings) index->postings.push_back(entries[i].tuple);
   }
-  index->offsets.push_back(static_cast<uint32_t>(pairs.size()));
+  index->offsets.push_back(static_cast<uint32_t>(entries.size()));
 }
 
 IndexCache::Artifact BuildSortedIndex(const Column<double>& col,
@@ -114,10 +133,12 @@ IndexCache::Artifact BuildSortedIndex(const Column<double>& col,
 }  // namespace
 
 bool DenseValueRange(uint64_t span, size_t count) {
-  return span <= 2 * uint64_t{count} + kDenseRangeSlack;
+  return span < (uint64_t{1} << 32) &&
+         span <= 2 * uint64_t{count} + kDenseRangeSlack;
 }
 
-AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool force_sort) {
+AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool with_postings,
+                         bool force_sort) {
   size_t count = 0;
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
@@ -134,9 +155,9 @@ AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool force_sort) {
   }
   const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
   if (!force_sort && DenseValueRange(span, count)) {
-    BuildByCounting(col, n, lo, span, count, &index);
+    BuildByCounting(col, n, lo, span, count, with_postings, &index);
   } else {
-    BuildBySort(col, n, count, &index);
+    BuildBySort(col, n, lo, count, with_postings, &index);
   }
   return index;
 }
@@ -224,10 +245,15 @@ std::shared_ptr<const AttrIndex> Relation::GetAttrIndex(AttrId a) const {
   CM_CHECK(cache_id_ != 0);
   const Column<int64_t>& col = int_cols_[idx];
   const TupleId n = num_tuples_;
+  // Join edges run between keys only; a categorical attribute's index
+  // serves the literal search, which reads slots and counts.
+  const bool with_postings = schema_.attr(a).kind != AttrKind::kCategorical;
   std::shared_ptr<const void> artifact = IndexCache::Global().Get(
-      cache_id_, SlotOf(idx, kAttrIndexSlot), version_, [&col, n] {
+      cache_id_, SlotOf(idx, kAttrIndexSlot), version_,
+      [&col, n, with_postings] {
         AdviseBuildScan(col);
-        auto index = std::make_shared<AttrIndex>(BuildAttrIndex(col.data(), n));
+        auto index = std::make_shared<AttrIndex>(
+            BuildAttrIndex(col.data(), n, with_postings));
         IndexCache::Artifact built;
         built.bytes = index->bytes();
         built.data = std::move(index);

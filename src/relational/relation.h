@@ -100,9 +100,21 @@ class Column {
 /// The unified per-attribute index: one CSR inverted index over an integer
 /// attribute serving every consumer — join probes (propagation, baseline
 /// bindings) through `FindValue` + `posting`, and literal scoring through
-/// ascending `values` iteration. Distinct values ascend;
-/// each posting list holds its tuple ids ascending with NULLs (`kNullValue`)
-/// excluded, matching SQL join semantics.
+/// ascending slot iteration with per-slot counts. Each posting list holds
+/// its tuple ids ascending with NULLs (`kNullValue`) excluded, matching SQL
+/// join semantics. Only join keys are probed for postings, so the index of
+/// a categorical attribute keeps its slots and counts but no postings
+/// (`has_postings()` is false).
+///
+/// Slots ascend by value, in one of two layouts chosen by the column:
+///   - direct-addressed (`dense()`): the non-NULL values span a dense range
+///     (`DenseValueRange`; dictionary codes and surrogate keys always do).
+///     Slot `v` is value `lo + v` for every integer of [lo, hi], so
+///     `FindValue(x)` is `x - lo` and no value array is stored. A value of
+///     the range the column does not hold has an empty slot.
+///   - sorted: any other column lists its distinct values in `values`, one
+///     slot each, and `FindValue` binary-searches them.
+/// Readers go through the accessors, never the fields, so they serve both.
 ///
 /// Built by `BuildAttrIndex` per relation version on demand and owned by the
 /// global `IndexCache` (`Relation::GetAttrIndex`), which may evict and
@@ -110,25 +122,36 @@ class Column {
 struct AttrIndex {
   static constexpr size_t npos = ~size_t{0};
 
-  std::vector<int64_t> values;    ///< distinct values, ascending
-  std::vector<uint32_t> offsets;  ///< CSR: values.size() + 1 entries
+  int64_t lo = 0;                 ///< value of slot 0 (direct-addressed)
+  std::vector<int64_t> values;    ///< sorted layout: value of each slot
+  std::vector<uint32_t> offsets;  ///< CSR: one entry per slot, plus one
   std::vector<TupleId> postings;  ///< concatenated ascending tuple ids
 
-  size_t num_values() const { return values.size(); }
+  bool dense() const { return values.empty(); }
+  bool has_postings() const { return postings.size() == offsets.back(); }
+  /// Number of slots. Direct-addressed slots may be empty
+  /// (`posting_count(v) == 0`); sorted ones never are.
+  size_t num_values() const { return offsets.size() - 1; }
+  int64_t value(size_t v) const {
+    return dense() ? static_cast<int64_t>(static_cast<uint64_t>(lo) + v)
+                   : values[v];
+  }
   uint32_t posting_count(size_t v) const {
     return offsets[v + 1] - offsets[v];
   }
+  /// The tuples of slot `v`; needs `has_postings()`.
   const TupleId* posting(size_t v) const {
     return postings.data() + offsets[v];
   }
-  /// Returns the index of `value` in `values`, or `npos`: the join probe of
-  /// every propagation hop. Dictionary codes and surrogate keys are dense
-  /// (`values[i] == i`), so a value that sits at its own index is answered
-  /// in O(1); anything else is binary-searched.
+  /// Returns the slot of `value`, or `npos` if no tuple holds it: the join
+  /// probe of every propagation hop. Offsets into the direct-addressed range
+  /// are taken in unsigned arithmetic, so any int64 probe is safe.
   size_t FindValue(int64_t value) const {
-    if (value >= 0 && static_cast<uint64_t>(value) < values.size() &&
-        values[static_cast<size_t>(value)] == value) {
-      return static_cast<size_t>(value);
+    if (dense()) {
+      const uint64_t v =
+          static_cast<uint64_t>(value) - static_cast<uint64_t>(lo);
+      if (v >= num_values() || offsets[v] == offsets[v + 1]) return npos;
+      return static_cast<size_t>(v);
     }
     auto it = std::lower_bound(values.begin(), values.end(), value);
     if (it == values.end() || *it != value) return npos;
@@ -143,20 +166,25 @@ struct AttrIndex {
 };
 
 /// True when `count` non-NULL values spanning `span + 1` consecutive
-/// integers are dense enough for `BuildAttrIndex`'s counting sort: its count
-/// table, one 4-byte slot per integer of the range, then has at most about
-/// twice as many slots as there are values. Dictionary codes and surrogate
-/// keys always are.
+/// integers take the direct-addressed `AttrIndex` layout: one 4-byte slot
+/// per integer of the range, at most about twice as many slots as there
+/// are values. Slots are numbered in 32 bits (propagation packs them into
+/// `IdPair`s), so the span must also stay below 2^32. Dictionary codes and
+/// surrogate keys always qualify.
 bool DenseValueRange(uint64_t span, size_t count);
 
-/// Builds the index over the `n` values of `col`. A column whose non-NULL
-/// values satisfy `DenseValueRange(max - min, count)` is counting-sorted:
-/// one pass counts each value, a prefix sum over the range lays out the CSR,
-/// and a second pass places the tuples in ascending order, so every posting
-/// ascends with no comparison sort. Any other (sparse) column sorts its
-/// (value, tuple) pairs. `force_sort` takes the comparison sort regardless;
-/// tests use it to check that both paths build the same index.
-AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool force_sort = false);
+/// Builds the index over the `n` values of `col`, with its postings when
+/// `with_postings`, else slots and counts only. A column whose non-NULL
+/// values satisfy `DenseValueRange(max - min, count)` is counting-sorted
+/// into the direct-addressed layout: one pass counts each value, a prefix
+/// sum over the range lays out the CSR, and a second pass places the tuples
+/// in ascending order. Any other (sparse) column is radix-sorted by value
+/// into the sorted layout; the sort is stable and the tuples enter it
+/// ascending, so every posting ascends either way. `force_sort` takes the
+/// sorted layout regardless; tests use it to check that both layouts index
+/// the same postings.
+AttrIndex BuildAttrIndex(const int64_t* col, TupleId n, bool with_postings,
+                         bool force_sort = false);
 
 /// Columnar relation. Key and categorical attributes are stored as
 /// `int64_t` columns (categorical values are dictionary codes), numerical
@@ -249,9 +277,10 @@ class Relation {
   void SetDictionary(AttrId a, std::vector<std::string> labels);
 
   /// The unified inverted index over an integer attribute, built on demand
-  /// inside the global IndexCache. The handle pins the artifact: hold it
-  /// for the duration of a scan and it stays valid even if a memory budget
-  /// evicts the cached copy meanwhile.
+  /// inside the global IndexCache: with postings for key attributes, slots
+  /// and counts only for categorical ones. The handle pins the artifact:
+  /// hold it for the duration of a scan and it stays valid even if a memory
+  /// budget evicts the cached copy meanwhile.
   std::shared_ptr<const AttrIndex> GetAttrIndex(AttrId a) const;
 
   /// Tuple ids sorted ascending by the numerical attribute's value (built

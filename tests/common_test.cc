@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/fs.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -247,6 +252,83 @@ TEST(StopwatchTest, ResetRestarts) {
   double before = w.ElapsedSeconds();
   w.Reset();
   EXPECT_LE(w.ElapsedSeconds(), before + 1e-3);
+}
+
+// ------------------------------------------------------------------ Crc32 --
+
+/// The referee: the textbook bytewise CRC-32 (reflected polynomial
+/// 0xEDB88320), one table lookup per byte, sharing no code with `Crc32`.
+class BytewiseCrc {
+ public:
+  BytewiseCrc() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table_[i] = c;
+    }
+  }
+  /// Advances a raw register by one byte.
+  uint32_t Step(uint32_t reg, unsigned char byte) const {
+    return table_[(reg ^ byte) & 0xFFu] ^ (reg >> 8);
+  }
+  uint32_t operator()(std::string_view data) const {
+    uint32_t reg = 0xFFFFFFFFu;
+    for (char c : data) reg = Step(reg, static_cast<unsigned char>(c));
+    return reg ^ 0xFFFFFFFFu;
+  }
+
+ private:
+  uint32_t table_[256];
+};
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(BytewiseCrc()("123456789"), 0xCBF43926u);
+}
+
+// Every length 0..4096 at every start offset 0..63 (so every alignment and
+// every tail length of the 64- and 16-byte folding blocks). Each case is
+// copied into an allocation that ends exactly at its last byte, so a kernel
+// that reads past the end is caught by the ASan build (tools/check_asan.sh).
+TEST(Crc32Test, MatchesBytewiseRefereeAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 4096;
+  constexpr size_t kMaxOffset = 63;
+  Rng rng(0xc3c32);
+  std::string source(kMaxOffset + kMaxLen, '\0');
+  for (char& c : source) c = static_cast<char>(rng.Uniform(256));
+  const BytewiseCrc referee;
+  for (size_t off = 0; off <= kMaxOffset; ++off) {
+    // The referee's register over source[off, off + len), extended one byte
+    // per length.
+    uint32_t reg = 0xFFFFFFFFu;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        reg = referee.Step(
+            reg, static_cast<unsigned char>(source[off + len - 1]));
+      }
+      std::unique_ptr<char[]> exact(new char[off + len]);
+      std::memcpy(exact.get() + off, source.data() + off, len);
+      ASSERT_EQ(Crc32(std::string_view(exact.get() + off, len)),
+                reg ^ 0xFFFFFFFFu)
+          << "len " << len << " offset " << off;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseRefereeOnOneMebibyte) {
+  Rng rng(0x1b1b);
+  std::string data(size_t{1} << 20, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  const BytewiseCrc referee;
+  EXPECT_EQ(Crc32(data), referee(data));
+  // Every byte value, repeated: long runs of one byte fold differently
+  // from random data.
+  std::string runs;
+  for (int b = 0; b < 256; ++b) runs.append(4096, static_cast<char>(b));
+  EXPECT_EQ(Crc32(runs), referee(runs));
 }
 
 }  // namespace

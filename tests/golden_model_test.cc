@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/metrics.h"
 #include "core/classifier.h"
 #include "core/model_io.h"
 #include "datagen/financial.h"
@@ -107,8 +108,23 @@ std::string ShardedModelBytes(const Database& db, CrossMineOptions opts,
   return NormalizeToV1(ReadFile(path));
 }
 
+/// `train.literals_scored` of a single-thread training run: the number of
+/// candidate literals offered to the gain test. Index layouts change how
+/// candidates are enumerated, never which, so this count is pinned.
+double LiteralsScored(const Database& db, const CrossMineOptions& opts) {
+  CrossMineClassifier model(opts);
+  MetricsRegistry reg;
+  model.set_metrics(&reg);
+  std::vector<TupleId> all(db.target_relation().num_tuples());
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_TRUE(model.Train(db, all).ok());
+  return reg.Snapshot().at("train.literals_scored");
+}
+
 void CheckAgainstGolden(const Database& db, const CrossMineOptions& opts,
-                        const char* golden_name) {
+                        const char* golden_name, double literals_scored) {
+  EXPECT_EQ(LiteralsScored(db, opts), literals_scored) << golden_name;
+
   std::string bytes = TrainedModelBytes(db, opts, 1, golden_name);
   ASSERT_FALSE(bytes.empty());
 
@@ -161,7 +177,8 @@ TEST(GoldenModelTest, SyntheticMatchesPreRefactorGolden) {
   cfg.seed = 17;
   StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
   ASSERT_TRUE(db.ok());
-  CheckAgainstGolden(*db, CrossMineOptions{}, "synthetic_r8_t150_s17.cmm");
+  CheckAgainstGolden(*db, CrossMineOptions{}, "synthetic_r8_t150_s17.cmm",
+                     155566);
 }
 
 TEST(GoldenModelTest, SyntheticWithSamplingMatchesPreRefactorGolden) {
@@ -173,7 +190,8 @@ TEST(GoldenModelTest, SyntheticWithSamplingMatchesPreRefactorGolden) {
   ASSERT_TRUE(db.ok());
   CrossMineOptions opts;
   opts.use_sampling = true;
-  CheckAgainstGolden(*db, opts, "synthetic_r10_t200_s23_sampling.cmm");
+  CheckAgainstGolden(*db, opts, "synthetic_r10_t200_s23_sampling.cmm",
+                     83166);
 }
 
 TEST(GoldenModelTest, FinancialMatchesPreRefactorGolden) {
@@ -182,7 +200,8 @@ TEST(GoldenModelTest, FinancialMatchesPreRefactorGolden) {
   cfg.seed = 5;
   StatusOr<Database> db = datagen::GenerateFinancialDatabase(cfg);
   ASSERT_TRUE(db.ok());
-  CheckAgainstGolden(*db, CrossMineOptions{}, "financial_l80_s5.cmm");
+  CheckAgainstGolden(*db, CrossMineOptions{}, "financial_l80_s5.cmm",
+                     97546);
 }
 
 TEST(GoldenModelTest, MutagenesisMatchesPreRefactorGolden) {
@@ -191,7 +210,8 @@ TEST(GoldenModelTest, MutagenesisMatchesPreRefactorGolden) {
   cfg.seed = 9;
   StatusOr<Database> db = datagen::GenerateMutagenesisDatabase(cfg);
   ASSERT_TRUE(db.ok());
-  CheckAgainstGolden(*db, CrossMineOptions{}, "mutagenesis_m60_s9.cmm");
+  CheckAgainstGolden(*db, CrossMineOptions{}, "mutagenesis_m60_s9.cmm",
+                     82994);
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IdSetStorePropertyTest,
                          ::testing::Range<uint64_t>(1, 17));
 
 // `SortPairs` (the radix sort of the propagation keys) must agree with
-// std::sort on every key shape: around the std::sort cutoff and at 10^5
+// std::sort on every key shape: around the insertion-sort cutoff and at 10^5
 // keys; with only low bytes varying, with tuple and id >= 2^24 (bytes 3 and
 // 7 vary) and with only bytes 3 and 7 varying; all-equal, heavy-duplicate,
 // already sorted and reversed inputs; and with a reused `tmp` that starts
@@ -259,9 +259,9 @@ TEST(SortPairsTest, MatchesStdSort) {
   Rng rng(0x5027);
   const size_t sizes[] = {0,
                           1,
-                          kSortPairsCutoff - 1,
-                          kSortPairsCutoff,
-                          kSortPairsCutoff + 1,
+                          kRadixSortCutoff - 1,
+                          kRadixSortCutoff,
+                          kRadixSortCutoff + 1,
                           1000,
                           100000};
   const KeyShape shapes[] = {KeyShape::kLowBytes,  KeyShape::kWide,

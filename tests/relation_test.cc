@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace crossmine {
 namespace {
 
@@ -73,20 +75,33 @@ std::vector<TupleId> Posting(const AttrIndex& index, int64_t value) {
                               index.posting(v) + index.posting_count(v));
 }
 
+// Number of tuples holding `value`: all a categorical index records.
+uint32_t Count(const AttrIndex& index, int64_t value) {
+  size_t v = index.FindValue(value);
+  return v == AttrIndex::npos ? 0 : index.posting_count(v);
+}
+
 TEST(RelationTest, AttrIndexGroupsByValue) {
   Relation r(MakeSchema());
   int64_t values[] = {5, 7, 5, 9, 5};
   for (int64_t v : values) {
     TupleId t = r.AddTuple();
+    r.SetInt(t, 3, v);
     r.SetInt(t, 1, v);
   }
-  auto index = r.GetAttrIndex(1);
-  EXPECT_EQ(index->num_values(), 3u);
-  EXPECT_EQ(index->values, (std::vector<int64_t>{5, 7, 9}));
+  auto index = r.GetAttrIndex(3);
+  EXPECT_EQ(testing::PresentValues(*index), (std::vector<int64_t>{5, 7, 9}));
   EXPECT_EQ(Posting(*index, 5), (std::vector<TupleId>{0, 2, 4}));
   EXPECT_EQ(Posting(*index, 7), (std::vector<TupleId>{1}));
   EXPECT_EQ(Posting(*index, 9), (std::vector<TupleId>{3}));
   EXPECT_EQ(index->FindValue(6), AttrIndex::npos);
+  // The categorical twin keeps the same slots and counts, no postings.
+  auto categorical = r.GetAttrIndex(1);
+  EXPECT_FALSE(categorical->has_postings());
+  EXPECT_EQ(testing::PresentValues(*categorical),
+            (std::vector<int64_t>{5, 7, 9}));
+  EXPECT_EQ(Count(*categorical, 5), 3u);
+  EXPECT_EQ(Count(*categorical, 6), 0u);
 }
 
 TEST(RelationTest, AttrIndexSkipsNulls) {
@@ -95,7 +110,7 @@ TEST(RelationTest, AttrIndexSkipsNulls) {
   r.SetInt(a, 1, 4);
   r.AddTuple();  // stays NULL
   auto index = r.GetAttrIndex(1);
-  EXPECT_EQ(index->num_values(), 1u);
+  EXPECT_EQ(testing::PresentValues(*index), (std::vector<int64_t>{4}));
   EXPECT_EQ(index->FindValue(kNullValue), AttrIndex::npos);
 }
 
@@ -103,21 +118,21 @@ TEST(RelationTest, AttrIndexInvalidatedByMutation) {
   Relation r(MakeSchema());
   TupleId t = r.AddTuple();
   r.SetInt(t, 1, 1);
-  EXPECT_EQ(Posting(*r.GetAttrIndex(1), 1).size(), 1u);
+  EXPECT_EQ(Count(*r.GetAttrIndex(1), 1), 1u);
   r.SetInt(t, 1, 2);
   auto index = r.GetAttrIndex(1);
   EXPECT_EQ(index->FindValue(1), AttrIndex::npos);
-  EXPECT_EQ(Posting(*index, 2).size(), 1u);
+  EXPECT_EQ(Count(*index, 2), 1u);
 }
 
 TEST(RelationTest, AttrIndexInvalidatedByAddTuple) {
   Relation r(MakeSchema());
   TupleId a = r.AddTuple();
   r.SetInt(a, 1, 3);
-  EXPECT_EQ(Posting(*r.GetAttrIndex(1), 3).size(), 1u);
+  EXPECT_EQ(Count(*r.GetAttrIndex(1), 3), 1u);
   TupleId b = r.AddTuple();
   r.SetInt(b, 1, 3);
-  EXPECT_EQ(Posting(*r.GetAttrIndex(1), 3).size(), 2u);
+  EXPECT_EQ(Count(*r.GetAttrIndex(1), 3), 2u);
 }
 
 TEST(RelationTest, SortedIndexOrdersByValue) {

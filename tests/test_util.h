@@ -25,6 +25,16 @@ namespace crossmine::testing {
 /// expectations use it; the engine's `IdPairs` bridge to it below.
 using IdSet = std::vector<TupleId>;
 
+/// The values an `AttrIndex` holds, ascending: the values of its non-empty
+/// slots, so the direct-addressed layout's empty slots do not count.
+inline std::vector<int64_t> PresentValues(const AttrIndex& index) {
+  std::vector<int64_t> values;
+  for (size_t v = 0; v < index.num_values(); ++v) {
+    if (index.posting_count(v) > 0) values.push_back(index.value(v));
+  }
+  return values;
+}
+
 /// Sorts and deduplicates `ids` in place, establishing the IdSet invariant.
 inline void NormalizeIdSet(IdSet* ids) {
   std::sort(ids->begin(), ids->end());

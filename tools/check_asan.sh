@@ -22,6 +22,9 @@
 # exactly the borrowed-span lifetime pattern ASan polices. The prediction
 # referee rides along: the clause evaluator's packed (tuple, position) pairs index |ids|-sized
 # position arrays, and its in-place pair compaction is offset arithmetic.
+# The common suite runs the CRC-32 referee: it hands the PCLMULQDQ folding
+# kernel every length 0..4096 at every start offset in an allocation that
+# ends at the last byte, so a SIMD load past the tail is caught here.
 #
 # Usage: tools/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -31,13 +34,14 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$BUILD_DIR" -j \
-  --target protocol_test serve_test propagation_oracle_test idset_test \
-  attr_index_test index_cache_test csv_corruption_test columnar_test \
-  columnar_corruption_test fault_matrix_test shard_test \
+  --target common_test protocol_test serve_test propagation_oracle_test \
+  idset_test attr_index_test index_cache_test csv_corruption_test \
+  columnar_test columnar_corruption_test fault_matrix_test shard_test \
   predict_referee_test crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
+"$BUILD_DIR"/tests/common_test
 "$BUILD_DIR"/tests/protocol_test
 "$BUILD_DIR"/tests/serve_test
 "$BUILD_DIR"/tests/propagation_oracle_test

@@ -31,7 +31,7 @@ DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
 DB="$DIR/fig11.cmdb"
-BUDGET_MB=8
+BUDGET_MB=4
 TRAIN_FLAGS=(--threads 1 --sampling --report json)
 
 "$BIN" generate synthetic "$DB" --seed 1 --relations 20 --tuples 10000 \

@@ -128,6 +128,10 @@ reject --memory-budget-mb train "$DIR/data" "$DIR/reject.cmm" \
 reject --thredas train "$DIR/data" "$DIR/reject.cmm" --thredas 4
 reject --shard-quorom train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
   --shard-quorom 1
+# A value flag with no value: at the end of the command, and before the
+# next flag (which is not taken as its value).
+reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain
+reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads --sampling
 
 # A negative value is the flag's value, not a missing one: --seed -7
 # generates a different database than --seed 1, and --min-gain -1 trains a

@@ -126,11 +126,12 @@ int Usage() {
       "  points, e.g. \"model_io.save.rename@1=EIO\". Also read from the\n"
       "  CROSSMINE_FAULT_PLAN environment variable.\n"
       "\n"
-      "flags: a flag's value is the next token unless it starts with\n"
-      "  `--` (so negative numbers parse). An unknown flag, a value that\n"
-      "  does not parse as a number, an out-of-range --shards or\n"
-      "  --shard-sample, and an unknown --mode value each exit 2 naming\n"
-      "  the flag.\n"
+      "flags: --sampling, --no-lookahead, --no-aggregations, --no-verify\n"
+      "  and --json are switches; every other flag takes the next token\n"
+      "  as its value, which must not start with `--` (so negative numbers\n"
+      "  parse). An unknown flag, a missing value, a value that does not\n"
+      "  parse as a number, an out-of-range --shards or --shard-sample,\n"
+      "  and an unknown --mode value each exit 2 naming the flag.\n"
       "\n"
       "model options (evaluate / train):\n"
       "  --sampling             enable negative sampling (off by default)\n"
@@ -166,10 +167,15 @@ std::vector<std::string> WithModelFlags(std::vector<std::string> flags) {
   return flags;
 }
 
-/// Parses trailing --key value / --flag options. A flag's value is the next
-/// token unless that starts with `--` (so `--seed -7` reads -7); a flag with
-/// no value reads "1". A flag that is neither in `accepted` nor global exits
-/// 2 naming it, before the subcommand writes any output.
+/// Flags that take no value: present reads "1".
+const char* const kSwitchFlags[] = {"sampling", "no-lookahead",
+                                    "no-aggregations", "no-verify", "json"};
+
+/// Parses trailing --key value / --switch options. A value flag's value is
+/// the next token, which must not start with `--` (so `--seed -7` reads -7);
+/// a value flag at the end of the command or before the next `--` token
+/// exits 2 ("missing value for --X"). A flag that is neither in `accepted`
+/// nor global exits 2 naming it. Either way nothing has been written yet.
 std::map<std::string, std::string> ParseOptions(
     int argc, char** argv, int first,
     const std::vector<std::string>& accepted) {
@@ -185,11 +191,16 @@ std::map<std::string, std::string> ParseOptions(
                    argv[1]);
       std::exit(2);
     }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      opts[key] = argv[++i];
-    } else {
+    if (std::find(std::begin(kSwitchFlags), std::end(kSwitchFlags), key) !=
+        std::end(kSwitchFlags)) {
       opts[key] = "1";
+      continue;
     }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      std::fprintf(stderr, "missing value for --%s\n", key.c_str());
+      std::exit(2);
+    }
+    opts[key] = argv[++i];
   }
   return opts;
 }
