@@ -88,15 +88,25 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id, const IdPairs& pairs,
 
   Stopwatch watch;
   offered_ = 0;
-  runs_.clear();
-  for (size_t lo = 0; lo < pairs.size(); lo = TupleRunEnd(pairs, lo)) {
-    runs_.push_back(static_cast<uint32_t>(lo));
+  // Only the numerical sweep and the sum/avg aggregations walk tuple runs;
+  // list them for those scans alone.
+  const RelationSchema& schema = rel.schema();
+  bool needs_runs = false;
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    needs_runs |= schema.attr(a).kind == AttrKind::kNumerical &&
+                  (opts.use_numerical_literals || opts.use_aggregation_literals);
   }
-  runs_.push_back(static_cast<uint32_t>(pairs.size()));
+  runs_.clear();
+  if (needs_runs) {
+    for (size_t lo = 0; lo < pairs.size(); lo = TupleRunEnd(pairs, lo)) {
+      runs_.push_back(static_cast<uint32_t>(lo));
+    }
+    runs_.push_back(static_cast<uint32_t>(pairs.size()));
+  }
 
   CandidateLiteral best;
-  for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
-    switch (rel.schema().attr(a).kind) {
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    switch (schema.attr(a).kind) {
       case AttrKind::kPrimaryKey:
       case AttrKind::kForeignKey:
         break;  // keys are join plumbing, not literal material
@@ -124,51 +134,94 @@ void LiteralSearcher::SearchCategorical(const Relation& rel, AttrId attr,
   std::shared_ptr<const AttrIndex> handle = rel.GetAttrIndex(attr);
   const AttrIndex& index = *handle;
   const size_t num_values = index.num_values();
+  const uint32_t none = static_cast<uint32_t>(num_values);
+  const std::vector<uint8_t>& positive = *positive_;
+  // Target ids share a word with the negative-class tag bit.
+  CM_CHECK(positive.size() < (size_t{1} << 31));
 
-  // Counting-sort the tuple runs by value slot. NULL satisfies no
-  // category, so NULL runs land in a trailing bucket no value reads.
-  // Placement advances each bucket's cursor to its end, leaving the runs
-  // of value v at order_[v == 0 ? 0 : bucket_[v - 1], bucket_[v]).
+  // Pass 1: each pair's value slot and the per-slot histogram. NULL
+  // satisfies no category and a dead target counts for none, so both land
+  // in the trailing bucket `none`, which no value reads. Every non-NULL
+  // value came from the column the index was built over, so its slot is
+  // never empty.
   const Column<int64_t>& col = rel.IntColumn(attr);
-  const size_t num_runs = runs_.size() - 1;
-  run_value_.resize(num_runs);
+  const std::vector<uint8_t>& alive = *alive_;
+  const size_t n = pairs.size();
+  pair_slot_.resize(n);
   bucket_.assign(num_values + 1, 0);
-  for (size_t r = 0; r < num_runs; ++r) {
-    const int64_t value = col[PairTuple(pairs[runs_[r]])];
-    const size_t v = value == kNullValue ? num_values : index.FindValue(value);
-    CM_CHECK(v != AttrIndex::npos);
-    run_value_[r] = static_cast<uint32_t>(v);
-    ++bucket_[v];
+  uint32_t* slots = pair_slot_.data();
+  uint32_t* histogram = bucket_.data();
+  auto slot_pairs = [&](auto slot_of) {
+    for (size_t k = 0; k < n; ++k) {
+      const IdPair p = pairs[k];
+      const int64_t value = col[PairTuple(p)];
+      uint32_t v = none;
+      if (value != kNullValue) v = slot_of(value);
+      v = alive[PairId(p)] ? v : none;
+      slots[k] = v;
+      ++histogram[v];
+    }
+  };
+  if (index.dense()) {
+    const uint64_t lo = static_cast<uint64_t>(index.lo);
+    slot_pairs([&](int64_t value) {
+      const uint64_t v = static_cast<uint64_t>(value) - lo;
+      CM_CHECK(v < num_values);
+      return static_cast<uint32_t>(v);
+    });
+  } else {
+    slot_pairs([&](int64_t value) {
+      const size_t v = index.FindValue(value);
+      CM_CHECK(v != AttrIndex::npos);
+      return static_cast<uint32_t>(v);
+    });
   }
+
+  // Pass 2: scatter the ids into flat per-slot segments, negative targets
+  // tagged in the top bit. Placement advances each bucket's cursor to its
+  // end, leaving slot v's ids at by_value_[v == 0 ? 0 : bucket_[v - 1],
+  // bucket_[v]).
   uint32_t start = 0;
   for (uint32_t& b : bucket_) {
     const uint32_t count = b;
     b = start;
     start += count;
   }
-  order_.resize(num_runs);
-  for (size_t r = 0; r < num_runs; ++r) {
-    order_[bucket_[run_value_[r]]++] = static_cast<uint32_t>(r);
+  by_value_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t id = PairId(pairs[k]);
+    by_value_[bucket_[pair_slot_[k]]++] =
+        id | static_cast<uint32_t>(positive[id] == 0) << 31;
   }
 
-  // Slots ascend by value, so candidates are offered — and gain ties
-  // broken — in category-value order. An empty direct-addressed slot is a
-  // value the relation does not hold: no candidate.
+  // Pass 3: count each segment's distinct targets under a fresh mark
+  // epoch, branch-free. Slots ascend by value, so candidates are offered —
+  // and gain ties broken — in category-value order. An empty
+  // direct-addressed slot is a value the relation does not hold: no
+  // candidate.
+  uint32_t* mark = mark_.data();
   for (size_t v = 0; v < num_values; ++v) {
     if (index.posting_count(v) == 0) continue;
-    uint32_t pos_cov = 0, neg_cov = 0;
     const uint32_t begin = v == 0 ? 0 : bucket_[v - 1];
     const uint32_t end = bucket_[v];
-    if (begin < end) NewEpoch();
-    for (uint32_t i = begin; i < end; ++i) {
-      const uint32_t r = order_[i];
-      CountNew(pairs, runs_[r], runs_[r + 1], &pos_cov, &neg_cov);
+    uint32_t total = 0, neg_cov = 0;
+    if (begin < end) {
+      NewEpoch();
+      const uint32_t epoch = epoch_;
+      for (uint32_t i = begin; i < end; ++i) {
+        const uint32_t e = by_value_[i];
+        const uint32_t id = e & 0x7fffffffu;
+        const uint32_t fresh = mark[id] != epoch;
+        mark[id] = epoch;
+        total += fresh;
+        neg_cov += fresh & (e >> 31);
+      }
     }
     Constraint c;
     c.attr = attr;
     c.cmp = CmpOp::kEq;
     c.category = index.value(v);
-    Offer(best, c, pos_cov, neg_cov);
+    Offer(best, c, total - neg_cov, neg_cov);
   }
 }
 
@@ -245,31 +298,42 @@ void LiteralSearcher::SearchAggregations(const Relation& rel,
 
   // Per-target join count (shared by count(*) and as the divisor for avg).
   // `touched` lists targets with at least one joinable tuple.
-  std::vector<TupleId> touched;
+  std::vector<TupleId>& touched = agg_touched_;
+  touched.clear();
+  uint32_t max_count = 0;
   for (IdPair p : pairs) {
     const uint32_t id = PairId(p);
     if (!alive[id]) continue;
     if (agg_count_[id] == 0) touched.push_back(id);
-    ++agg_count_[id];
+    max_count = std::max(max_count, ++agg_count_[id]);
   }
   if (touched.empty()) return;
 
-  // count(*) literal.
-  {
-    std::vector<std::pair<double, TupleId>> entries;
-    entries.reserve(touched.size());
-    for (TupleId id : touched) {
-      entries.emplace_back(static_cast<double>(agg_count_[id]), id);
-    }
-    std::sort(entries.begin(), entries.end());
-    SweepSortedTargets(entries, AggOp::kCount, kInvalidAttr, best);
+  // count(*) literal. Counts are small integers, so the targets are
+  // counting-sorted by count. Candidates are offered only at distinct-count
+  // boundaries, where the cumulative coverage does not depend on the order
+  // within a tie.
+  std::vector<std::pair<double, TupleId>>& entries = agg_entries_;
+  bucket_.assign(size_t{max_count} + 1, 0);
+  for (TupleId id : touched) ++bucket_[agg_count_[id]];
+  uint32_t start = 0;
+  for (uint32_t& b : bucket_) {
+    const uint32_t count = b;
+    b = start;
+    start += count;
   }
+  entries.resize(touched.size());
+  for (TupleId id : touched) {
+    const uint32_t count = agg_count_[id];
+    entries[bucket_[count]++] = {static_cast<double>(count), id};
+  }
+  SweepSortedTargets(entries, AggOp::kCount, kInvalidAttr, best);
 
   // sum(attr) / avg(attr) for every numerical attribute. Pairs walk in
   // (tuple, id) order, so each target sums in ascending tuple order.
-  const size_t num_runs = runs_.size() - 1;
   for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
     if (rel.schema().attr(a).kind != AttrKind::kNumerical) continue;
+    const size_t num_runs = runs_.size() - 1;
     for (TupleId id : touched) agg_sum_[id] = 0.0;
     const Column<double>& col = rel.DoubleColumn(a);
     for (size_t r = 0; r < num_runs; ++r) {
@@ -279,8 +343,7 @@ void LiteralSearcher::SearchAggregations(const Relation& rel,
         if (alive[id]) agg_sum_[id] += v;
       }
     }
-    std::vector<std::pair<double, TupleId>> entries;
-    entries.reserve(touched.size());
+    entries.clear();
     for (TupleId id : touched) entries.emplace_back(agg_sum_[id], id);
     std::sort(entries.begin(), entries.end());
     SweepSortedTargets(entries, AggOp::kSum, a, best);

@@ -35,15 +35,23 @@ struct CandidateLiteral {
 /// joinable with many satisfying tuples is counted once, through
 /// epoch-stamped marks over the target ids. Every scan walks only the
 /// pairs, so its cost tracks the live frontier, not relation width:
-///  * categorical: one walk of the tuple runs counting-sorts them into
-///    per-value buckets, and each bucket's distinct alive pos/neg targets
-///    are counted;
+///  * categorical: a counting sort over the pairs. One pass reads each
+///    pair's value slot (`value - lo` in a direct-addressed `AttrIndex`,
+///    `FindValue` in a sorted one; NULL cells and dead targets go to a
+///    trailing bucket), a second scatters the target ids into one flat
+///    segment per slot with the negative class tagged in the top bit, and
+///    a third counts each segment's distinct ids in one branch-free loop
+///    under a fresh mark epoch;
 ///  * numerical: the tuple runs sorted by (value, tuple) — the relation's
 ///    sorted index restricted to the frontier — are swept. Thresholds
 ///    between frontier values cover nothing new, so they cannot win and
 ///    are not offered;
 ///  * aggregation: per-target count / sum over the pairs in (tuple, id)
-///    order, the summation order `ApplyConstraint` uses.
+///    order, the summation order `ApplyConstraint` uses. `count(*)` values
+///    are counting-sorted by count; sum / avg values are sorted.
+///
+/// The tuple runs of the pairs are listed only when a numerical or sum/avg
+/// scan will walk them.
 ///
 /// The clause's node 0 (the target relation itself, `idset(t) = {t}` for
 /// alive t) is searched the same way, over its `(t, t)` pairs.
@@ -119,14 +127,18 @@ class LiteralSearcher {
   std::vector<double> agg_sum_;
 
   /// Per-`FindBest` frontier scratch: `runs_` holds the start of every
-  /// tuple run of the pairs (plus an end sentinel); `run_value_`,
-  /// `bucket_` and `order_` are the categorical counting sort;
-  /// `sorted_runs_` the numerical (value, run) order.
+  /// tuple run of the pairs (plus an end sentinel), when a scan needs it;
+  /// `pair_slot_`, `bucket_` and `by_value_` are the categorical counting
+  /// sort (`bucket_` also the count(*) one); `sorted_runs_` the numerical
+  /// (value, run) order; `agg_touched_` and `agg_entries_` the aggregated
+  /// targets and their (value, target) entries.
   std::vector<uint32_t> runs_;
-  std::vector<uint32_t> run_value_;
+  std::vector<uint32_t> pair_slot_;
   std::vector<uint32_t> bucket_;
-  std::vector<uint32_t> order_;
+  std::vector<uint32_t> by_value_;
   std::vector<std::pair<double, uint32_t>> sorted_runs_;
+  std::vector<TupleId> agg_touched_;
+  std::vector<std::pair<double, TupleId>> agg_entries_;
 
   /// Cached metric handles (null when detached). `offered_` batches the
   /// per-candidate count locally during one `FindBest` so the hot `Offer`

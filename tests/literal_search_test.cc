@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/foil_gain.h"
 #include "core/propagation.h"
 #include "test_util.h"
@@ -308,6 +312,112 @@ TEST_P(LiteralSearchPropertyTest, CategoricalCountsMatchBruteForce) {
   ExpectEdgesMatchBruteForce(
       sampled,
       SetupFromLabels(sampled, RandomAliveMask(GetParam() ^ 0xa11e, n, 0.15)));
+}
+
+/// A target relation `T` and a child `C` whose `owner` foreign key refers
+/// back to it, each with one categorical attribute `c`. Target t owns
+/// `min_children` to `max_children` child tuples; every categorical cell is
+/// `draw(rng, t)`, t being the target the tuple is or belongs to.
+template <typename Draw>
+Database MakeOwnedChildDatabase(uint64_t seed, int min_children,
+                                int max_children, Draw draw) {
+  Database db;
+  RelationSchema target("T");
+  target.AddPrimaryKey("id");
+  target.AddCategorical("c");
+  db.AddRelation(std::move(target));
+  RelationSchema child("C");
+  child.AddPrimaryKey("id");
+  child.AddCategorical("c");
+  child.AddForeignKey("owner", 0);
+  db.AddRelation(std::move(child));
+  db.SetTarget(0);
+
+  Rng rng(seed);
+  Relation& targets = db.mutable_relation(0);
+  Relation& children = db.mutable_relation(1);
+  std::vector<ClassId> labels;
+  for (TupleId t = 0; t < 120; ++t) {
+    targets.AddTuple();
+    targets.SetInt(t, 0, t);
+    targets.SetInt(t, 1, draw(rng, t));
+    labels.push_back(rng.Bernoulli(0.5) ? 1 : 0);
+    const int n = min_children + static_cast<int>(rng.Uniform(
+                                     static_cast<uint64_t>(max_children -
+                                                           min_children + 1)));
+    for (int i = 0; i < n; ++i) {
+      TupleId u = children.AddTuple();
+      children.SetInt(u, 0, u);
+      children.SetInt(u, 1, draw(rng, t));
+      children.SetInt(u, 2, t);
+    }
+  }
+  db.SetLabels(std::move(labels), 2);
+  CM_CHECK(db.Finalize().ok());
+  return db;
+}
+
+/// Runs the brute-force comparison with every target alive and under a
+/// sampling-like ~15% alive mask.
+void ExpectFullAndSampledMatchBruteForce(const Database& db, uint64_t seed) {
+  ExpectEdgesMatchBruteForce(db, SetupFromLabels(db));
+  ExpectEdgesMatchBruteForce(
+      db, SetupFromLabels(db, RandomAliveMask(seed ^ 0xa11e,
+                                              db.target_relation().num_tuples(),
+                                              0.15)));
+}
+
+TEST_P(LiteralSearchPropertyTest, CategoricalNullCellsMatchBruteForce) {
+  // NULL satisfies no category: NULL cells must count toward no value.
+  Database db = MakeOwnedChildDatabase(
+      GetParam(), 1, 4, [](Rng& rng, TupleId) {
+        return rng.Bernoulli(0.3) ? kNullValue
+                                  : static_cast<int64_t>(rng.Uniform(4));
+      });
+  size_t nulls = 0;
+  for (RelId r = 0; r < db.num_relations(); ++r) {
+    const Relation& rel = db.relation(r);
+    for (TupleId u = 0; u < rel.num_tuples(); ++u) {
+      nulls += rel.Int(u, 1) == kNullValue;
+    }
+  }
+  ASSERT_GT(nulls, 0u);
+  ExpectFullAndSampledMatchBruteForce(db, GetParam());
+}
+
+TEST_P(LiteralSearchPropertyTest, CategoricalSparseValuesMatchBruteForce) {
+  // Values spread over most of the int64 range take the sorted AttrIndex
+  // layout, whose slots come from FindValue rather than `value - lo`.
+  const int64_t kValues[] = {INT64_MIN + 1, -4'000'000'007, -3, 0,
+                             5'000'000'000, INT64_MAX - 1};
+  Database db = MakeOwnedChildDatabase(
+      GetParam(), 1, 4, [&](Rng& rng, TupleId) {
+        return kValues[rng.Uniform(std::size(kValues))];
+      });
+  for (RelId r = 0; r < db.num_relations(); ++r) {
+    ASSERT_FALSE(db.relation(r).GetAttrIndex(1)->dense());
+  }
+  ExpectFullAndSampledMatchBruteForce(db, GetParam());
+}
+
+TEST_P(LiteralSearchPropertyTest, CategoricalRepeatedValueCountsTargetOnce) {
+  // Every target owns 2-4 children that mostly share one value, so a
+  // value's segment holds the same target id several times; the count must
+  // take it once.
+  Database db = MakeOwnedChildDatabase(
+      GetParam(), 2, 4, [](Rng& rng, TupleId t) {
+        return rng.Bernoulli(0.8) ? static_cast<int64_t>(t % 3)
+                                  : static_cast<int64_t>(rng.Uniform(3));
+      });
+  const Relation& children = db.relation(1);
+  std::set<std::pair<int64_t, int64_t>> owner_values;
+  bool repeated = false;
+  for (TupleId u = 0; u < children.num_tuples(); ++u) {
+    repeated |= !owner_values.emplace(children.Int(u, 2), children.Int(u, 1))
+                     .second;
+  }
+  ASSERT_TRUE(repeated);
+  ExpectFullAndSampledMatchBruteForce(db, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiteralSearchPropertyTest,

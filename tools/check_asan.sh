@@ -37,7 +37,7 @@ cmake --build "$BUILD_DIR" -j \
   --target common_test protocol_test serve_test propagation_oracle_test \
   idset_test attr_index_test index_cache_test csv_corruption_test \
   columnar_test columnar_corruption_test fault_matrix_test shard_test \
-  predict_referee_test crossmine_cli serve_client
+  predict_referee_test literal_search_test crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
@@ -54,6 +54,7 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/fault_matrix_test
 "$BUILD_DIR"/tests/shard_test
 "$BUILD_DIR"/tests/predict_referee_test
+"$BUILD_DIR"/tests/literal_search_test
 bash tools/check_serve_smoke.sh \
   "$BUILD_DIR"/tools/crossmine "$BUILD_DIR"/tools/serve_client
 

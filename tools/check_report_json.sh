@@ -132,6 +132,14 @@ reject --shard-quorom train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
 # next flag (which is not taken as its value).
 reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain
 reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads --sampling
+# Values that parse but lie outside the option's range.
+reject --folds evaluate "$DIR/data" --folds 0
+reject --folds evaluate "$DIR/data" --folds 1
+reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads -3
+reject --max-negative train "$DIR/data" "$DIR/reject.cmm" --max-negative -5
+reject --neg-pos-ratio train "$DIR/data" "$DIR/reject.cmm" \
+  --neg-pos-ratio -1
+reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain nan
 
 # A negative value is the flag's value, not a missing one: --seed -7
 # generates a different database than --seed 1, and --min-gain -1 trains a

@@ -23,6 +23,9 @@
 // convention.
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -130,8 +133,10 @@ int Usage() {
       "  and --json are switches; every other flag takes the next token\n"
       "  as its value, which must not start with `--` (so negative numbers\n"
       "  parse). An unknown flag, a missing value, a value that does not\n"
-      "  parse as a number, an out-of-range --shards or --shard-sample,\n"
-      "  and an unknown --mode value each exit 2 naming the flag.\n"
+      "  parse as a number, an out-of-range --folds (< 2), --threads,\n"
+      "  --max-negative, --neg-pos-ratio (< 0), --shards (< 1) or\n"
+      "  --shard-sample, a non-finite --min-gain, and an unknown --mode\n"
+      "  value each exit 2 naming the flag.\n"
       "\n"
       "model options (evaluate / train):\n"
       "  --sampling             enable negative sampling (off by default)\n"
@@ -237,6 +242,20 @@ double OptDouble(const std::map<std::string, std::string>& opts,
   return v;
 }
 
+/// OptInt restricted to [lo, hi], the range of the option it sets: a value
+/// outside exits 2 naming the flag.
+int64_t OptIntIn(const std::map<std::string, std::string>& opts,
+                 const std::string& key, int64_t fallback, int64_t lo,
+                 int64_t hi) {
+  const int64_t v = OptInt(opts, key, fallback);
+  if (v < lo || v > hi) {
+    const std::string want = "an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]";
+    BadFlagValue(key, opts.at(key), want.c_str());
+  }
+  return v;
+}
+
 /// The one flag→CrossMineOptions mapping, shared by every subcommand that
 /// configures a model (evaluate, train, predict).
 CrossMineOptions ParseCrossMineOptions(
@@ -247,16 +266,20 @@ CrossMineOptions ParseCrossMineOptions(
   o.use_aggregation_literals = opts.count("no-aggregations") == 0;
   o.seed = static_cast<uint64_t>(OptInt(opts, "seed", 1));
   o.neg_pos_ratio = OptDouble(opts, "neg-pos-ratio", o.neg_pos_ratio);
+  if (!std::isfinite(o.neg_pos_ratio) || o.neg_pos_ratio < 0) {
+    BadFlagValue("neg-pos-ratio", opts.at("neg-pos-ratio"),
+                 "a finite number >= 0");
+  }
   o.max_num_negative = static_cast<uint32_t>(
-      OptInt(opts, "max-negative", o.max_num_negative));
+      OptIntIn(opts, "max-negative", o.max_num_negative, 0, UINT32_MAX));
   o.min_foil_gain = OptDouble(opts, "min-gain", o.min_foil_gain);
+  if (!std::isfinite(o.min_foil_gain)) {
+    BadFlagValue("min-gain", opts.at("min-gain"), "a finite number");
+  }
   // Clause-search worker threads: 0 (default) = hardware concurrency,
   // 1 = sequential. Any value trains the byte-identical model.
-  o.num_threads = static_cast<int>(OptInt(opts, "threads", 0));
-  o.num_shards = static_cast<int>(OptInt(opts, "shards", 1));
-  if (o.num_shards < 1) {
-    BadFlagValue("shards", opts.at("shards"), "an integer >= 1");
-  }
+  o.num_threads = static_cast<int>(OptIntIn(opts, "threads", 0, 0, INT_MAX));
+  o.num_shards = static_cast<int>(OptIntIn(opts, "shards", 1, 1, INT_MAX));
   auto mode = opts.find("mode");
   if (mode != opts.end()) {
     if (mode->second == "best") {
@@ -277,11 +300,8 @@ CrossMineOptions ParseCrossMineOptions(
 shard::ShardOptions ParseShardOptions(
     const std::map<std::string, std::string>& opts) {
   shard::ShardOptions out;
-  int64_t sample = OptInt(opts, "shard-sample", 0);
-  if (sample < 0) {
-    BadFlagValue("shard-sample", opts.at("shard-sample"), "an integer >= 0");
-  }
-  out.merge_sample = static_cast<uint64_t>(sample);
+  out.merge_sample = static_cast<uint64_t>(
+      OptIntIn(opts, "shard-sample", 0, 0, INT64_MAX));
   return out;
 }
 
@@ -564,7 +584,7 @@ int Evaluate(int argc, char** argv) {
   auto opts = ParseOptions(
       argc, argv, 3,
       WithModelFlags({"folds", "classifier", "report", "no-verify"}));
-  int folds = static_cast<int>(OptInt(opts, "folds", 10));
+  int folds = static_cast<int>(OptIntIn(opts, "folds", 10, 2, INT_MAX));
   ReportMode report = ParseReportMode(opts);
 
   std::string classifier = "crossmine";
