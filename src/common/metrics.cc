@@ -43,22 +43,6 @@ void MergeSnapshot(const MetricsSnapshot& from, MetricsSnapshot* into) {
   for (const auto& [key, value] : from) (*into)[key] += value;
 }
 
-void AbsorbSnapshot(const MetricsSnapshot& from, MetricsRegistry* into) {
-  static constexpr char kTimerSuffix[] = "_seconds";
-  static constexpr size_t kTimerSuffixLen = sizeof(kTimerSuffix) - 1;
-  for (const auto& [key, value] : from) {
-    bool is_timer = key.size() >= kTimerSuffixLen &&
-                    key.compare(key.size() - kTimerSuffixLen, kTimerSuffixLen,
-                                kTimerSuffix) == 0;
-    if (is_timer) {
-      into->timer(key)->AddSeconds(value);
-    } else {
-      into->counter(key)->Add(
-          static_cast<uint64_t>(std::llround(std::max(0.0, value))));
-    }
-  }
-}
-
 std::string JsonNumber(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::fabs(value) < 9.007199254740992e15) {

@@ -134,12 +134,6 @@ struct PredictReport {
 /// aggregation primitive used by eval/cross_validation.
 void MergeSnapshot(const MetricsSnapshot& from, MetricsSnapshot* into);
 
-/// Adds a snapshot's values into a live registry, creating missing
-/// entries: keys ending in `_seconds` accumulate into timers, everything
-/// else into counters. The roll-up primitive for per-worker registries
-/// (the sharded trainer absorbs each shard's private registry this way).
-void AbsorbSnapshot(const MetricsSnapshot& from, MetricsRegistry* into);
-
 /// Renders `value` as a JSON number: integral values print without a
 /// fraction, others with enough digits to round-trip a report.
 std::string JsonNumber(double value);

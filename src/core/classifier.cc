@@ -164,10 +164,13 @@ void CrossMineClassifier::TrainOneClass(const Database& db, ClassId cls,
       ScopedMetricTimer sampling(metrics_, "train.phase.sampling_seconds");
       uint64_t neg_budget = negatives.size();
       if (options_.use_sampling) {
-        uint64_t ratio_cap = static_cast<uint64_t>(
-            options_.neg_pos_ratio *
-            static_cast<double>(remaining_pos.size()));
-        neg_budget = std::min<uint64_t>(neg_budget, ratio_cap);
+        // Compared as a double before any cast: the cap can exceed what a
+        // uint64_t holds, and converting such a double is undefined.
+        const double ratio_cap =
+            options_.neg_pos_ratio * static_cast<double>(remaining_pos.size());
+        if (ratio_cap < static_cast<double>(neg_budget)) {
+          neg_budget = ratio_cap > 0 ? static_cast<uint64_t>(ratio_cap) : 0;
+        }
         neg_budget = std::min<uint64_t>(neg_budget, options_.max_num_negative);
         // Keep a handful of negatives so clause quality remains measurable.
         neg_budget = std::max<uint64_t>(

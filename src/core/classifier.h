@@ -13,9 +13,6 @@
 namespace crossmine {
 
 class ThreadPool;
-namespace shard {
-class ShardedClassifier;
-}
 
 /// The CrossMine multi-relational classifier (the paper's primary
 /// contribution). Learns a set of clauses from a finalized `Database` via
@@ -106,9 +103,6 @@ class CrossMineClassifier : public RelationalClassifier {
   friend StatusOr<CrossMineClassifier> ParseModel(const Database& db,
                                                   const std::string& contents,
                                                   const std::string& origin);
-  /// The shard-merge pass (src/shard/sharded_trainer.cc) installs its
-  /// deterministically merged clause set through the same hook.
-  friend class shard::ShardedClassifier;
 
   /// The indices (model order) of the clauses each entry of `query`
   /// (sorted, distinct) satisfies. With `first_only` an entry leaves the

@@ -81,12 +81,6 @@ struct CrossMineOptions {
   /// on demand instead of cached. Zero disables caching.
   uint64_t propagation_cache_slots = 4ULL << 20;
 
-  /// Shard-parallel training (src/shard/): number of target-relation
-  /// shards to train concurrently and merge deterministically. The core
-  /// trainer itself ignores this — `shard::ShardedClassifier` and the CLI
-  /// consume it; 1 is plain unsharded training.
-  int num_shards = 1;
-
   /// How clauses combine at prediction time.
   PredictionMode prediction_mode = PredictionMode::kBestClause;
 

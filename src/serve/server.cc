@@ -405,7 +405,12 @@ std::string PredictionServer::ExecuteExplain(const Request& req) const {
 }
 
 void PredictionServer::BeginDrain() {
-  draining_.store(true, std::memory_order_release);
+  {
+    // Set under mu_: the dispatcher's wait predicate reads draining_, and a
+    // store between its check and its sleep would lose this wakeup.
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
 }
 

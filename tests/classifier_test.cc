@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_io.h"
 #include "datagen/synthetic.h"
 #include "eval/cross_validation.h"
 #include "eval/metrics.h"
@@ -185,6 +186,32 @@ TEST(ClassifierTest, SamplingPreservesAccuracyApproximately) {
   EXPECT_GT(acc_plain, 0.6);
   // "the sampling method only slightly sacrifices the accuracy" (§7.1).
   EXPECT_GT(acc_sampled, acc_plain - 0.12);
+}
+
+TEST(ClassifierTest, HugeNegPosRatioKeepsEveryNegative) {
+  // Any ratio whose cap reaches |negatives| keeps them all, so 1e3 and
+  // ratios whose cap NEG_POS_RATIO · |pos| lies beyond 2^64 train one model.
+  datagen::SyntheticConfig cfg;
+  cfg.num_relations = 6;
+  cfg.expected_tuples = 300;
+  cfg.seed = 3;
+  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  std::vector<TupleId> ids(db->target_relation().num_tuples());
+  for (TupleId t = 0; t < ids.size(); ++t) ids[t] = t;
+
+  auto model_bytes = [&](double ratio) {
+    CrossMineOptions opts;
+    opts.use_sampling = true;
+    opts.num_threads = 1;
+    opts.neg_pos_ratio = ratio;
+    CrossMineClassifier model(opts);
+    EXPECT_TRUE(model.Train(*db, ids).ok());
+    return SerializeModel(model, *db);
+  };
+  const std::string expected = model_bytes(1e3);
+  EXPECT_EQ(model_bytes(1e18), expected);
+  EXPECT_EQ(model_bytes(1e30), expected);
 }
 
 TEST(ClassifierTest, MinFoilGainControlsModelSize) {

@@ -24,7 +24,6 @@
 #include "datagen/mutagenesis.h"
 #include "datagen/synthetic.h"
 #include "relational/index_cache.h"
-#include "shard/sharded_trainer.h"
 
 #ifndef CROSSMINE_SOURCE_DIR
 #error "golden_model_test needs CROSSMINE_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -89,25 +88,6 @@ std::string TrainedModelBytes(const Database& db, CrossMineOptions opts,
   return NormalizeToV1(ReadFile(path));
 }
 
-/// Trains through the shard-parallel path at `num_shards` and returns the
-/// merged model's bytes, normalized like `TrainedModelBytes`. At one shard
-/// the partition-train-merge pipeline must collapse to exactly the unsharded
-/// computation, so these bytes are held to the same goldens.
-std::string ShardedModelBytes(const Database& db, CrossMineOptions opts,
-                              int num_shards, const char* tag) {
-  shard::ShardOptions sopts;
-  sopts.num_shards = num_shards;
-  shard::ShardedClassifier model(opts, sopts);
-  std::vector<TupleId> all(db.target_relation().num_tuples());
-  std::iota(all.begin(), all.end(), 0);
-  EXPECT_TRUE(model.Train(db, all).ok());
-  std::string path =
-      ::testing::TempDir() + "/golden_sharded_" + tag + ".cmm";
-  std::filesystem::remove(path);
-  EXPECT_TRUE(SaveModel(model.merged_model(), db, path).ok());
-  return NormalizeToV1(ReadFile(path));
-}
-
 /// `train.literals_scored` of a single-thread training run: the number of
 /// candidate literals offered to the gain test. Index layouts change how
 /// candidates are enumerated, never which, so this count is pinned.
@@ -146,13 +126,6 @@ void CheckAgainstGolden(const Database& db, const CrossMineOptions& opts,
   // The same bytes must come out of a multi-threaded build too.
   EXPECT_EQ(TrainedModelBytes(db, opts, 4, golden_name), golden)
       << golden_name << ": 4-thread model diverged from the committed golden";
-
-  // And out of the shard-parallel path at --shards 1: partition, per-shard
-  // training, and the merge's full-train rescore must reproduce the
-  // unsharded model byte for byte.
-  EXPECT_EQ(ShardedModelBytes(db, opts, 1, golden_name), golden)
-      << golden_name
-      << ": shards=1 merged model diverged from the committed golden";
 
   // And under any index-memory budget, at 1 and 4 threads: 64 MiB (holds
   // every artifact at this scale, exercising only the accounting) and a

@@ -17,11 +17,9 @@
 # classic off-by-one territory, as are the radix passes and buffer swaps
 # of `SortPairs` that the idset suite checks, and the IndexCache
 # suite thrashes eviction while handles are still live — a use-after-free
-# hunt by construction. The shard suite rides along because the
-# partitioner aliases parent column storage into per-shard relations —
-# exactly the borrowed-span lifetime pattern ASan polices. The prediction
-# referee rides along: the clause evaluator's packed (tuple, position) pairs index |ids|-sized
-# position arrays, and its in-place pair compaction is offset arithmetic.
+# hunt by construction. The prediction referee rides along: the clause
+# evaluator's packed (tuple, position) pairs index |ids|-sized position
+# arrays, and its in-place pair compaction is offset arithmetic.
 # The common suite runs the CRC-32 referee: it hands the PCLMULQDQ folding
 # kernel every length 0..4096 at every start offset in an allocation that
 # ends at the last byte, so a SIMD load past the tail is caught here.
@@ -36,7 +34,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$BUILD_DIR" -j \
   --target common_test protocol_test serve_test propagation_oracle_test \
   idset_test attr_index_test index_cache_test csv_corruption_test \
-  columnar_test columnar_corruption_test fault_matrix_test shard_test \
+  columnar_test columnar_corruption_test fault_matrix_test \
   predict_referee_test literal_search_test crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -52,7 +50,6 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/columnar_test
 "$BUILD_DIR"/tests/columnar_corruption_test
 "$BUILD_DIR"/tests/fault_matrix_test
-"$BUILD_DIR"/tests/shard_test
 "$BUILD_DIR"/tests/predict_referee_test
 "$BUILD_DIR"/tests/literal_search_test
 bash tools/check_serve_smoke.sh \

@@ -7,11 +7,12 @@
 # hit/refresh/miss counters, the training frontier counters
 # (train.propagation.pairs, train.propagation.peak_id_bytes), per-class
 # clause counts and the predict-side frontier counter
-# (predict.propagated_pairs). Malformed flag
-# values, out-of-range shard counts and unknown flags must be rejected
-# before any output: exit 2, nothing on stdout, no model file, and a stderr
-# message naming the flag. Negative values are values: `--seed -7` and
-# `--min-gain -1` must be read as given, not as a missing value.
+# (predict.propagated_pairs). Malformed flag values, out-of-range values
+# and unknown flags (the removed shard flags among them) must be rejected
+# before any output: exit 2, nothing on stdout, no model or database file,
+# and a stderr message naming the flag. Negative values are values:
+# `--seed -7` and `--min-gain -1` must be read as given, not as a missing
+# value.
 #
 # Usage: tools/check_report_json.sh [crossmine-binary]
 #        (default: build/tools/crossmine)
@@ -116,18 +117,17 @@ reject() {
 reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads four
 reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain 1,5
 reject --mode predict "$DIR/data" "$DIR/reject.cmm" --mode bestest
+# Removed shard flags are unknown flags, whatever their value.
 reject --shards train "$DIR/data" "$DIR/reject.cmm" --shards -1
 reject --shards train "$DIR/data" "$DIR/reject.cmm" --shards 0
-reject --shard-sample train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
-  --shard-sample -5
-reject --shard-exec train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
-  --shard-exec process
-reject --resume train "$DIR/data" "$DIR/reject.cmm" --shards 2 --resume
+reject --shards train "$DIR/data" "$DIR/reject.cmm" --shards 4
+reject --shard-sample train "$DIR/data" "$DIR/reject.cmm" --shard-sample 5
+reject --shard-exec train "$DIR/data" "$DIR/reject.cmm" --shard-exec process
+reject --resume train "$DIR/data" "$DIR/reject.cmm" --resume
 reject --memory-budget-mb train "$DIR/data" "$DIR/reject.cmm" \
   --memory-budget-mb -5
 reject --thredas train "$DIR/data" "$DIR/reject.cmm" --thredas 4
-reject --shard-quorom train "$DIR/data" "$DIR/reject.cmm" --shards 2 \
-  --shard-quorom 1
+reject --shard-quorom train "$DIR/data" "$DIR/reject.cmm" --shard-quorom 1
 # A value flag with no value: at the end of the command, and before the
 # next flag (which is not taken as its value).
 reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain
@@ -140,6 +140,33 @@ reject --max-negative train "$DIR/data" "$DIR/reject.cmm" --max-negative -5
 reject --neg-pos-ratio train "$DIR/data" "$DIR/reject.cmm" \
   --neg-pos-ratio -1
 reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain nan
+# Generator sizes. The output path is the one `reject` checks was not
+# written.
+reject --tuples generate synthetic "$DIR/reject.cmm" --tuples 0
+reject --relations generate synthetic "$DIR/reject.cmm" --relations 1
+reject --relations generate synthetic "$DIR/reject.cmm" \
+  --relations 4294967298
+reject --fkeys generate synthetic "$DIR/reject.cmm" --fkeys -1
+reject --loans generate financial "$DIR/reject.cmm" --loans 4294967296
+reject --molecules generate mutagenesis "$DIR/reject.cmm" \
+  --molecules 4294967296
+# Serve flags. The model file does not exist, so a wrongly accepted value
+# would fail the model load (exit 1) instead of starting a server.
+reject --port serve "$DIR/data" "$DIR/reject.cmm" --port 70000
+reject --port serve "$DIR/data" "$DIR/reject.cmm" --port -1
+reject --batch-size serve "$DIR/data" "$DIR/reject.cmm" --batch-size 0
+reject --batch-size serve "$DIR/data" "$DIR/reject.cmm" --batch-size -1
+reject --max-queue serve "$DIR/data" "$DIR/reject.cmm" --max-queue 0
+reject --max-queue serve "$DIR/data" "$DIR/reject.cmm" --max-queue -1
+reject --threads serve "$DIR/data" "$DIR/reject.cmm" --threads -1
+reject --threads serve "$DIR/data" "$DIR/reject.cmm" --threads 2147483648
+reject --deadline-ms serve "$DIR/data" "$DIR/reject.cmm" --deadline-ms -1
+reject --deadline-ms serve "$DIR/data" "$DIR/reject.cmm" \
+  --deadline-ms 9223372036854775807
+reject --idle-timeout-ms serve "$DIR/data" "$DIR/reject.cmm" \
+  --idle-timeout-ms -1
+reject --max-connections serve "$DIR/data" "$DIR/reject.cmm" \
+  --max-connections -1
 
 # A negative value is the flag's value, not a missing one: --seed -7
 # generates a different database than --seed 1, and --min-gain -1 trains a

@@ -37,10 +37,13 @@ trap cleanup EXIT
   > "$DIR/server.out" 2> "$DIR/server.err" &
 SERVER_PID=$!
 
-# The bound ephemeral port is announced on the first stdout line.
+# The bound ephemeral port is announced on the first stdout line. The
+# background shell may not have created server.out yet, so a missing file
+# reads as no announcement.
 PORT=""
 for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$DIR/server.out")"
+  PORT="$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+    "$DIR/server.out" 2> /dev/null || true)"
   [ -n "$PORT" ] && break
   kill -0 "$SERVER_PID" 2>/dev/null || {
     echo "check_serve_smoke: server died during startup" >&2

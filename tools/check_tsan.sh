@@ -13,11 +13,8 @@
 # exercise the single-flight build path.
 # The columnar suite rides along because a `.cmdb`-loaded database hands
 # borrowed mmap spans to those same workers (copy-on-write on mutation).
-# The shard suite rides along for the two-level pool: shard workers each
-# running a full Find-Clauses loop (with inner literal-search pools) over
-# relations whose columns alias the same parent storage. The prediction
-# referee rides along because `Predict` and `Explain` run concurrently in
-# the serve pool against shared, lazily built indexes.
+# The prediction referee rides along because `Predict` and `Explain` run
+# concurrently in the serve pool against shared, lazily built indexes.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -29,7 +26,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Tsan
 cmake --build "$BUILD_DIR" -j \
   --target parallel_search_test clause_builder_test serve_test \
   propagation_oracle_test attr_index_test index_cache_test columnar_test \
-  fault_matrix_test shard_test predict_referee_test
+  fault_matrix_test predict_referee_test
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/parallel_search_test
@@ -40,7 +37,6 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/index_cache_test
 "$BUILD_DIR"/tests/columnar_test
 "$BUILD_DIR"/tests/fault_matrix_test
-"$BUILD_DIR"/tests/shard_test
 "$BUILD_DIR"/tests/predict_referee_test
 
 echo "check_tsan: OK (no races reported)"

@@ -54,7 +54,6 @@
 #include "eval/metrics.h"
 #include "relational/index_cache.h"
 #include "serve/server.h"
-#include "shard/sharded_trainer.h"
 #include "storage/columnar.h"
 #include "storage/storage.h"
 #include "serve/tcp.h"
@@ -133,10 +132,15 @@ int Usage() {
       "  and --json are switches; every other flag takes the next token\n"
       "  as its value, which must not start with `--` (so negative numbers\n"
       "  parse). An unknown flag, a missing value, a value that does not\n"
-      "  parse as a number, an out-of-range --folds (< 2), --threads,\n"
-      "  --max-negative, --neg-pos-ratio (< 0), --shards (< 1) or\n"
-      "  --shard-sample, a non-finite --min-gain, and an unknown --mode\n"
-      "  value each exit 2 naming the flag.\n"
+      "  parse as a number, an out-of-range value and an unknown --mode\n"
+      "  value each exit 2 naming the flag. Ranges: --folds >= 2;\n"
+      "  --threads, --max-negative and --neg-pos-ratio >= 0; --min-gain\n"
+      "  finite; generate --tuples >= 1, --relations >= 2, --fkeys >= 0,\n"
+      "  --loans and --molecules >= 1; serve --port in [0, 65535],\n"
+      "  --batch-size and --max-queue >= 1, --deadline-ms,\n"
+      "  --idle-timeout-ms and --max-connections >= 0. Integer flags\n"
+      "  other than --seed, --tuples, --fkeys and --max-negative (at most\n"
+      "  2^32-1) are at most INT_MAX.\n"
       "\n"
       "model options (evaluate / train):\n"
       "  --sampling             enable negative sampling (off by default)\n"
@@ -147,14 +151,7 @@ int Usage() {
       "  --no-aggregations      disable aggregation literals\n"
       "  --threads N            clause-search worker threads (0 = auto)\n"
       "  --seed N               sampling seed\n"
-      "  --mode best|vote|list  prediction mode\n"
-      "  --shards K             shard-parallel training (K >= 1): hash-split\n"
-      "                         the target relation into K shards, train\n"
-      "                         them concurrently as threads of this\n"
-      "                         process, merge deterministically (K=1\n"
-      "                         reproduces unsharded byte-identically)\n"
-      "  --shard-sample N       re-score merged clauses on N sampled\n"
-      "                         training tuples (0 = full training set)\n");
+      "  --mode best|vote|list  prediction mode\n");
   return 2;
 }
 
@@ -164,7 +161,7 @@ const char* const kGlobalFlags[] = {"fault-plan", "memory-budget-mb"};
 /// Flags ParseCrossMineOptions reads (evaluate / train).
 const char* const kModelFlags[] = {
     "sampling", "neg-pos-ratio", "max-negative", "min-gain", "no-lookahead",
-    "no-aggregations", "threads", "seed", "mode", "shards", "shard-sample"};
+    "no-aggregations", "threads", "seed", "mode"};
 
 /// `flags` plus the model flags.
 std::vector<std::string> WithModelFlags(std::vector<std::string> flags) {
@@ -279,7 +276,6 @@ CrossMineOptions ParseCrossMineOptions(
   // Clause-search worker threads: 0 (default) = hardware concurrency,
   // 1 = sequential. Any value trains the byte-identical model.
   o.num_threads = static_cast<int>(OptIntIn(opts, "threads", 0, 0, INT_MAX));
-  o.num_shards = static_cast<int>(OptIntIn(opts, "shards", 1, 1, INT_MAX));
   auto mode = opts.find("mode");
   if (mode != opts.end()) {
     if (mode->second == "best") {
@@ -293,23 +289,6 @@ CrossMineOptions ParseCrossMineOptions(
     }
   }
   return o;
-}
-
-/// Parses `--shard-sample` into shard::ShardOptions (the shard count itself
-/// rides in CrossMineOptions::num_shards).
-shard::ShardOptions ParseShardOptions(
-    const std::map<std::string, std::string>& opts) {
-  shard::ShardOptions out;
-  out.merge_sample = static_cast<uint64_t>(
-      OptIntIn(opts, "shard-sample", 0, 0, INT64_MAX));
-  return out;
-}
-
-/// True when any shard flag was given — the signal to route train/evaluate
-/// through the ShardedClassifier (even at --shards 1, so the identity path
-/// is exercisable end to end).
-bool WantsSharding(const std::map<std::string, std::string>& opts) {
-  return opts.count("shards") > 0 || opts.count("shard-sample") > 0;
 }
 
 /// Opens a database of either format, honoring `--no-verify`, and prints
@@ -349,19 +328,22 @@ int Generate(int argc, char** argv) {
   if (kind == "synthetic") {
     datagen::SyntheticConfig cfg;
     cfg.seed = seed;
-    cfg.num_relations = static_cast<int>(OptInt(opts, "relations", 20));
-    cfg.expected_tuples = OptInt(opts, "tuples", 500);
-    cfg.expected_fkeys = static_cast<double>(OptInt(opts, "fkeys", 2));
+    cfg.num_relations =
+        static_cast<int>(OptIntIn(opts, "relations", 20, 2, INT_MAX));
+    cfg.expected_tuples = OptIntIn(opts, "tuples", 500, 1, INT64_MAX);
+    cfg.expected_fkeys =
+        static_cast<double>(OptIntIn(opts, "fkeys", 2, 0, INT64_MAX));
     db = datagen::GenerateSyntheticDatabase(cfg);
   } else if (kind == "financial") {
     datagen::FinancialConfig cfg;
     cfg.seed = seed;
-    cfg.num_loans = static_cast<int>(OptInt(opts, "loans", 400));
+    cfg.num_loans = static_cast<int>(OptIntIn(opts, "loans", 400, 1, INT_MAX));
     db = datagen::GenerateFinancialDatabase(cfg);
   } else if (kind == "mutagenesis") {
     datagen::MutagenesisConfig cfg;
     cfg.seed = seed;
-    cfg.num_molecules = static_cast<int>(OptInt(opts, "molecules", 188));
+    cfg.num_molecules =
+        static_cast<int>(OptIntIn(opts, "molecules", 188, 1, INT_MAX));
     db = datagen::GenerateMutagenesisDatabase(cfg);
   }
   if (!db.ok()) {
@@ -398,8 +380,8 @@ int Convert(int argc, char** argv) {
 
 /// `info --json`: one JSON object with per-relation tuple / attribute
 /// counts and on-disk segment bytes, straight from the footer manifest —
-/// the sanity-check format for XL shard runs (scripts diff tuple counts
-/// and segment sizes without loading any column).
+/// the sanity-check format for large generated databases (scripts diff
+/// tuple counts and segment sizes without loading any column).
 void PrintInfoJson(const std::string& path,
                    const storage::ColumnarInfo& info) {
   uint64_t total_tuples = 0;
@@ -592,18 +574,11 @@ int Evaluate(int argc, char** argv) {
     classifier = it->second;
   }
   CrossMineOptions model_opts = ParseCrossMineOptions(opts);
-  shard::ShardOptions shard_opts = ParseShardOptions(opts);
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
   eval::ClassifierFactory factory;
   const char* display = "CrossMine";
-  if (classifier == "crossmine" && WantsSharding(opts)) {
-    display = "ShardedCrossMine";
-    factory = [&] {
-      return std::make_unique<shard::ShardedClassifier>(model_opts,
-                                                        shard_opts);
-    };
-  } else if (classifier == "crossmine") {
+  if (classifier == "crossmine") {
     factory = [&] { return std::make_unique<CrossMineClassifier>(model_opts); };
   } else if (classifier == "foil") {
     display = "FOIL";
@@ -664,47 +639,36 @@ int Train(int argc, char** argv) {
       ParseOptions(argc, argv, 4, WithModelFlags({"report", "no-verify"}));
   ReportMode report = ParseReportMode(opts);
   CrossMineOptions model_opts = ParseCrossMineOptions(opts);
-  // Any shard flag routes through the sharded trainer — --shards 1
-  // included, so the byte-identity path is exercisable end to end. The
-  // saved model is the merged model: an ordinary .cmm.
-  bool sharded = WantsSharding(opts);
-  shard::ShardOptions shard_opts = ParseShardOptions(opts);
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
   std::vector<TupleId> all;
   for (TupleId t = 0; t < db->target_relation().num_tuples(); ++t) {
     all.push_back(t);
   }
-  shard::ShardedClassifier sharded_model(model_opts, shard_opts);
   CrossMineClassifier model(model_opts);
 
   MetricsRegistry train_metrics;
-  RelationalClassifier& trainer =
-      sharded ? static_cast<RelationalClassifier&>(sharded_model)
-              : static_cast<RelationalClassifier&>(model);
-  if (report != ReportMode::kNone) trainer.set_metrics(&train_metrics);
-  Status st = trainer.Train(*db, all);
-  trainer.set_metrics(nullptr);
+  if (report != ReportMode::kNone) model.set_metrics(&train_metrics);
+  Status st = model.Train(*db, all);
+  model.set_metrics(nullptr);
   if (!st.ok()) {
     std::fprintf(stderr, "train failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  const CrossMineClassifier& trained =
-      sharded ? sharded_model.merged_model() : model;
   if (report == ReportMode::kJson) {
     // peak_rss_kb: process high-water resident set, the ground truth the
     // out-of-core bench (tools/check_memory_budget.sh) records per budget.
     std::printf("{\"report\":\"train\",\"classifier\":\"%s\""
                 ",\"peak_rss_kb\":%llu,%s}\n",
-                trainer.name(),
+                model.name(),
                 static_cast<unsigned long long>(PeakRssKb()),
                 SnapshotJsonFields(train_metrics.Snapshot()).c_str());
   } else if (report == ReportMode::kText) {
     std::printf("training report:\n%s",
                 SnapshotText(train_metrics.Snapshot()).c_str());
   }
-  std::printf("%s", trained.ToString(*db).c_str());
-  st = SaveModel(trained, *db, argv[3]);
+  std::printf("%s", model.ToString(*db).c_str());
+  st = SaveModel(model, *db, argv[3]);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -810,16 +774,23 @@ int Serve(int argc, char** argv) {
        "max-connections", "port", "report", "no-verify"});
   ReportMode report = ParseReportMode(opts);
   serve::ServerOptions server_opts;
-  server_opts.threads = static_cast<int>(OptInt(opts, "threads", 1));
-  server_opts.max_queue = static_cast<int>(OptInt(opts, "max-queue", 256));
-  server_opts.batch_size = static_cast<int>(OptInt(opts, "batch-size", 32));
-  server_opts.default_deadline_ms = OptInt(opts, "deadline-ms", 0);
+  server_opts.threads =
+      static_cast<int>(OptIntIn(opts, "threads", 1, 0, INT_MAX));
+  server_opts.max_queue =
+      static_cast<int>(OptIntIn(opts, "max-queue", 256, 1, INT_MAX));
+  server_opts.batch_size =
+      static_cast<int>(OptIntIn(opts, "batch-size", 32, 1, INT_MAX));
+  // Capped at INT_MAX like the other serve flags: the server adds the
+  // deadline to a steady_clock time point in nanoseconds, which overflows
+  // beyond ~9.2e12 ms and expires every request at once.
+  server_opts.default_deadline_ms =
+      OptIntIn(opts, "deadline-ms", 0, 0, INT_MAX);
   serve::TcpOptions tcp_opts;
   tcp_opts.idle_timeout_ms =
-      static_cast<int>(OptInt(opts, "idle-timeout-ms", 0));
+      static_cast<int>(OptIntIn(opts, "idle-timeout-ms", 0, 0, INT_MAX));
   tcp_opts.max_connections =
-      static_cast<int>(OptInt(opts, "max-connections", 0));
-  int port = static_cast<int>(OptInt(opts, "port", 0));
+      static_cast<int>(OptIntIn(opts, "max-connections", 0, 0, INT_MAX));
+  int port = static_cast<int>(OptIntIn(opts, "port", 0, 0, 65535));
 
   StatusOr<Database> db = LoadDb(argv[2], opts);
   if (!db.ok()) return 1;
