@@ -138,9 +138,9 @@ uint64_t ClauseBuilder::CurrentIdBytes() {
 }
 
 std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
-    int32_t node, int32_t e, int32_t e2, const IdPairs& src,
-    const JoinEdge& edge, PropagationScratch* scratch) {
-  std::array<int32_t, 3> key{node, e, e2};
+    int32_t node, int32_t e, const IdPairs& src, const JoinEdge& edge,
+    PropagationScratch* scratch) {
+  const std::pair<int32_t, int32_t> key{node, e};
   std::shared_ptr<PropagationResult> cached;
   bool current = false;
   {
@@ -249,22 +249,31 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       // Hop 1: one propagation along a join edge leaving the node.
       const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];
       std::shared_ptr<const PropagationResult> p = GetPropagation(
-          t.node, t.edge, -1, node_pairs_[static_cast<size_t>(t.node)], edge,
+          t.node, t.edge, node_pairs_[static_cast<size_t>(t.node)], edge,
           &prop_scratch_[static_cast<size_t>(worker)]);
       hop1[i] = p;
       if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->pairs, *opts_);
     } else {
-      // Hop 2: look-ahead through the parent task's propagation.
+      // Hop 2: look-ahead, scored over a view of the parent task's hop-1
+      // pairs in the lane's scratch; only an appended literal's hop is
+      // materialized. Aggregation literals need the view distinct.
       const std::shared_ptr<const PropagationResult>& parent =
           hop1[static_cast<size_t>(t.parent)];
       if (parent == nullptr || !parent->ok) return;
       const JoinEdge& edge2 = edges[static_cast<size_t>(t.edge2)];
-      std::shared_ptr<const PropagationResult> p =
-          GetPropagation(t.node, t.edge, t.edge2, parent->pairs, edge2,
-                         &prop_scratch_[static_cast<size_t>(worker)]);
-      if (p->ok) {
-        scored[i] = searcher.FindBest(edge2.to_rel, p->pairs, *opts_);
+      PropagationScratch& scratch = prop_scratch_[static_cast<size_t>(worker)];
+      Stopwatch view_watch;
+      const bool ok = PropagateView(*db_, edge2, parent->pairs, alive_,
+                                    opts_->propagation_limits,
+                                    opts_->use_aggregation_literals, &scratch);
+      if (prop_time_ != nullptr) {
+        prop_time_->AddSeconds(view_watch.ElapsedSeconds());
       }
+      if (!ok) {
+        Bump(prop_rejected_);
+        return;
+      }
+      scored[i] = searcher.FindBest(edge2.to_rel, scratch.view, *opts_);
     }
   };
 
@@ -324,20 +333,34 @@ void ClauseBuilder::Append(const BestChoice& choice) {
   lit.gain = choice.cand.gain;
   const ComplexLiteral& added = clause_.Append(*db_, std::move(lit));
 
-  // Materialize pairs for the nodes the prop-path created, reusing the
-  // propagations the search just scored (cache hits at the current epoch).
+  // Materialize pairs for the nodes the prop-path created. The same hops
+  // passed their limits during the search, so they cannot fail here.
   CM_CHECK(added.edge_path.size() <= 2);
-  const IdPairs* cur = &node_pairs_[static_cast<size_t>(added.source_node)];
-  for (size_t h = 0; h < added.edge_path.size(); ++h) {
-    int32_t edge_id = added.edge_path[h];
-    const JoinEdge& edge = db_->edges()[static_cast<size_t>(edge_id)];
+  PropagationScratch* scratch =
+      prop_scratch_.empty() ? nullptr : &prop_scratch_[0];
+  if (!added.edge_path.empty()) {
+    // The hop-1 propagation the search just scored: a cache hit at the
+    // current epoch.
+    const int32_t e = added.edge_path[0];
     std::shared_ptr<const PropagationResult> hop = GetPropagation(
-        added.source_node, added.edge_path[0], h == 0 ? -1 : edge_id, *cur,
-        edge, prop_scratch_.empty() ? nullptr : &prop_scratch_[0]);
-    // The same propagation succeeded during the search.
+        added.source_node, e,
+        node_pairs_[static_cast<size_t>(added.source_node)],
+        db_->edges()[static_cast<size_t>(e)], scratch);
     CM_CHECK_MSG(hop->ok, "propagation failed while appending literal");
     node_pairs_.push_back(hop->pairs);  // copy: the cache keeps its own
-    cur = &node_pairs_.back();
+  }
+  if (added.edge_path.size() == 2) {
+    // The look-ahead hop was scored as a view; join it for real now.
+    Stopwatch prop_watch;
+    PropagationResult hop = PropagateIds(
+        *db_, db_->edges()[static_cast<size_t>(added.edge_path[1])],
+        node_pairs_.back(), &alive_, opts_->propagation_limits, scratch);
+    if (prop_time_ != nullptr) {
+      prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
+    }
+    CM_CHECK_MSG(hop.ok, "propagation failed while appending literal");
+    Bump(prop_pairs_, hop.pairs.size());
+    node_pairs_.push_back(std::move(hop.pairs));
   }
 
   // Apply the constraint at the node it targets; shrink the alive set and

@@ -1,11 +1,11 @@
 #ifndef CROSSMINE_CORE_CLAUSE_BUILDER_H_
 #define CROSSMINE_CORE_CLAUSE_BUILDER_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -35,22 +35,26 @@ namespace crossmine {
 ///
 /// Every (active-node, edge-path) candidate is an independent task: a
 /// hop-0 constraint scan, a one-hop propagation + scan, or a look-ahead
-/// second hop + scan. When a `ThreadPool` is supplied the tasks run on its
+/// second hop + scan. A look-ahead hop is never joined for scoring: its
+/// task scores a `PropagateView` of the parent hop's pairs (unsorted, with
+/// repeats unless aggregation literals need them distinct), the virtual
+/// join of §4, and only `Append` materializes the hop of an accepted
+/// literal. When a `ThreadPool` is supplied the tasks run on its
 /// workers, each with its own `LiteralSearcher` scratch state; results land
 /// in task-indexed slots and are reduced sequentially in the exact order
 /// the sequential loops visit candidates, so any thread count produces the
 /// identical clause (ties keep breaking by node index, then edge path,
 /// then attribute/value scan order).
 ///
-/// Propagation work is reused across search rounds: each successful
-/// per-(node, edge-path) `PropagationResult` is cached for the duration of
-/// one `Build`. Because the alive mask only shrinks between literals, later
+/// Hop-1 propagation work is reused across search rounds: each successful
+/// per-(node, edge) `PropagationResult` is cached for the duration of one
+/// `Build`. Because the alive mask only shrinks between literals, later
 /// rounds refresh a cached result by erasing its dead pairs in place
 /// (`RefreshPropagation`) instead of re-running the join, and `Append`
 /// reuses the propagation the search just scored instead of recomputing it.
-/// Every step — propagation, refresh, literal search, `ApplyConstraint` —
-/// walks pairs, so a round costs what the alive targets reach, not the
-/// width of the relations they reach into.
+/// Every step — propagation, view, refresh, literal search,
+/// `ApplyConstraint` — walks pairs, so a round costs what the alive targets
+/// reach, not the width of the relations they reach into.
 ///
 /// One instance builds one clause; construct a new instance per clause.
 class ClauseBuilder {
@@ -106,8 +110,8 @@ class ClauseBuilder {
   void Append(const BestChoice& choice);
   void RecountAlive();
 
-  /// Returns the propagation along `edge` for the path keyed by
-  /// (node, e, e2), serving it from the per-build cache when possible:
+  /// Returns the hop-1 propagation along `edge` (id `e`) from clause node
+  /// `node`, serving it from the per-build cache when possible:
   /// a current-round entry is returned as-is, a stale entry is refreshed
   /// by erasing its dead pairs, and a miss recomputes `PropagateIds` from
   /// `src` (caching the result while the slot budget allows). `scratch`
@@ -115,8 +119,8 @@ class ClauseBuilder {
   /// pool tasks: each key is requested by exactly one task per round, so
   /// only the map itself needs the lock.
   std::shared_ptr<const PropagationResult> GetPropagation(
-      int32_t node, int32_t e, int32_t e2, const IdPairs& src,
-      const JoinEdge& edge, PropagationScratch* scratch);
+      int32_t node, int32_t e, const IdPairs& src, const JoinEdge& edge,
+      PropagationScratch* scratch);
 
   /// Bytes currently held by pair vectors (clause nodes + propagation
   /// cache); sampled into `train.propagation.peak_id_bytes` at the
@@ -164,12 +168,13 @@ class ClauseBuilder {
   /// One scratch searcher per pool lane (lane 0 is the calling thread).
   std::vector<LiteralSearcher> searchers_;
   /// One propagation scratch per pool lane, reused across every
-  /// `PropagateIds` that lane runs.
+  /// `PropagateIds` that lane runs; it also holds the look-ahead view the
+  /// lane is scoring.
   std::vector<PropagationScratch> prop_scratch_;
   std::vector<uint8_t> satisfied_;
 
-  /// Per-build propagation cache, keyed by (node, edge, lookahead edge).
-  std::map<std::array<int32_t, 3>, CachedPropagation> prop_cache_;
+  /// Per-build cache of hop-1 propagations, keyed by (node, edge).
+  std::map<std::pair<int32_t, int32_t>, CachedPropagation> prop_cache_;
   uint64_t cached_slot_count_ = 0;
   uint64_t search_epoch_ = 0;
   std::mutex cache_mu_;

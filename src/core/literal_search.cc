@@ -84,7 +84,10 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id, const IdPairs& pairs,
                                            const CrossMineOptions& opts) {
   CM_CHECK(alive_ != nullptr);
   const Relation& rel = db_->relation(rel_id);
-  CM_CHECK(pairs.empty() || PairTuple(pairs.back()) < rel.num_tuples());
+  // Pairs may be unsorted (a look-ahead view), so bound the largest one.
+  IdPair max_pair = 0;
+  for (IdPair p : pairs) max_pair = std::max(max_pair, p);
+  CM_CHECK(pairs.empty() || PairTuple(max_pair) < rel.num_tuples());
 
   Stopwatch watch;
   offered_ = 0;

@@ -78,7 +78,13 @@ class LiteralSearcher {
   /// comparison. Counting never alters which literal wins.
   void set_metrics(MetricsRegistry* metrics);
 
-  /// Best constraint on `rel` given its (tuple, id) `pairs`.
+  /// Best constraint on `rel` given its (tuple, id) `pairs`, each naming a
+  /// tuple of `rel`. Categorical and numerical scans count distinct alive
+  /// targets, so they take pairs in any order and with repeats, such as a
+  /// look-ahead `PropagateView`; a tuple's pairs may be split into several
+  /// runs. Aggregation scans count pairs and sum in pair order, so with
+  /// `use_aggregation_literals` the pairs must be sorted and duplicate-free,
+  /// as `PropagateIds` writes them.
   CandidateLiteral FindBest(RelId rel, const IdPairs& pairs,
                             const CrossMineOptions& opts);
 

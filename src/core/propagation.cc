@@ -113,6 +113,51 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
   return result;
 }
 
+bool PropagateView(const Database& db, const JoinEdge& edge,
+                   const IdPairs& src, const std::vector<uint8_t>& alive,
+                   const PropagationLimits& limits, bool distinct,
+                   PropagationScratch* scratch) {
+  const Column<int64_t>& src_col =
+      db.relation(edge.from_rel).IntColumn(edge.from_attr);
+  std::shared_ptr<const AttrIndex> handle =
+      db.relation(edge.to_rel).GetAttrIndex(edge.to_attr);
+  const AttrIndex& index = *handle;
+  CM_CHECK(index.has_postings());
+  IdPairs& view = scratch->view;
+  view.clear();
+  for (size_t lo = 0; lo < src.size();) {
+    const size_t hi = TupleRunEnd(src, lo);
+    const int64_t value = src_col[PairTuple(src[lo])];
+    const size_t v =
+        value == kNullValue ? AttrIndex::npos : index.FindValue(value);
+    if (v != AttrIndex::npos) {
+      // A key value has one posting tuple, unless the database was built
+      // without the loader's primary-key uniqueness check.
+      const TupleId* posting = index.posting(v);
+      const uint32_t count = index.posting_count(v);
+      for (uint32_t i = 0; i < count; ++i) {
+        for (size_t k = lo; k < hi; ++k) {
+          const uint32_t id = PairId(src[k]);
+          if (alive[id]) view.push_back(MakeIdPair(posting[i], id));
+        }
+      }
+    }
+    lo = hi;
+  }
+
+  if (!distinct && limits.max_avg_fanout <= 0 &&
+      (limits.max_total_ids == 0 || view.size() <= limits.max_total_ids)) {
+    return true;
+  }
+  SortPairs(&view, &scratch->tmp);
+  view.erase(std::unique(view.begin(), view.end()), view.end());
+  uint64_t reached = 0;
+  for (size_t lo = 0; lo < view.size(); lo = TupleRunEnd(view, lo)) {
+    ++reached;
+  }
+  return WithinLimits(limits, view.size(), reached);
+}
+
 bool RefreshPropagation(PropagationResult* result,
                         const std::vector<uint8_t>& alive,
                         const PropagationLimits& limits) {

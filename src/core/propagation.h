@@ -32,9 +32,9 @@ struct PropagationResult {
   uint64_t total_ids = 0;
 };
 
-/// Reusable working memory for `PropagateIds`. One scratch per worker lane
-/// amortizes the buffers across every propagation that lane runs, so after
-/// warm-up only the result itself allocates.
+/// Reusable working memory for `PropagateIds` and `PropagateView`. One
+/// scratch per worker lane amortizes the buffers across every propagation
+/// that lane runs, so after warm-up only a materialized result allocates.
 struct PropagationScratch {
   /// (destination value slot, id) keys, one per distinct id reaching a
   /// join value; runs of one value slot are that value's merged idset
@@ -43,8 +43,11 @@ struct PropagationScratch {
   std::vector<uint32_t> groups;
   /// (destination tuple, value run) per reached destination tuple
   IdPairs dests;
-  /// `SortPairs` ping-pong buffer for `keys` and `dests`
+  /// `SortPairs` ping-pong buffer for `keys`, `dests` and `view`
   IdPairs tmp;
+  /// `PropagateView`'s output: the lane's current look-ahead view, valid
+  /// until the lane's next `PropagateView`
+  IdPairs view;
   /// Sorts run on `keys` / `dests`: the already-ordered inputs skip theirs.
   /// Coverage counts for tests; nothing reads them on the hot path.
   uint64_t key_sorts = 0;
@@ -78,6 +81,28 @@ PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
                                const std::vector<uint8_t>* alive,
                                const PropagationLimits& limits = {},
                                PropagationScratch* scratch = nullptr);
+
+/// The hop of `PropagateIds` as a view for scoring, written to
+/// `scratch->view` without materializing the join: each source tuple run
+/// probes the destination's `AttrIndex` once (NULL never matches), and
+/// every posting tuple `u` of the value receives `(u, id)` for each alive
+/// id of the run, in source order. Nothing is sorted, so a destination
+/// tuple's pairs may be scattered, and an id two source tuples carry to one
+/// destination tuple appears twice.
+///
+/// `LiteralSearcher::FindBest` counts distinct targets, so its categorical
+/// and numerical scans score such a view exactly as the materialized hop.
+/// Its aggregation scan does not: with `distinct` the view is sorted and
+/// deduplicated, which makes it exactly `PropagateIds`' pairs.
+///
+/// Returns the §4.3 verdict of `PropagateIds` on the same hop. Without a
+/// fan-out guard, a view no larger than `max_total_ids` passes as is (the
+/// distinct volume cannot exceed it); otherwise the view is deduplicated
+/// and judged on its distinct volume.
+bool PropagateView(const Database& db, const JoinEdge& edge,
+                   const IdPairs& src, const std::vector<uint8_t>& alive,
+                   const PropagationLimits& limits, bool distinct,
+                   PropagationScratch* scratch);
 
 /// Refreshes a previously successful propagation after the alive mask
 /// shrank: the pairs of dead ids are erased in place, then `total_ids` is

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -410,10 +411,12 @@ StatusOr<Request> ParseRequest(const std::string& line,
   }
 
   if (const JsonValue* dl = root.Find("deadline_ms"); dl != nullptr) {
+    // Capped like `--deadline-ms`: the server adds the deadline to a
+    // nanosecond steady_clock time point, which overflows near 9.2e12 ms.
     if (dl->kind != JsonValue::Kind::kNumber || dl->number < 0 ||
-        dl->number != std::floor(dl->number)) {
+        dl->number > INT_MAX || dl->number != std::floor(dl->number)) {
       return Status::InvalidArgument(
-          "\"deadline_ms\" must be a non-negative integer");
+          "\"deadline_ms\" must be an integer in [0, 2147483647]");
     }
     req.deadline_ms = static_cast<int64_t>(dl->number);
   }

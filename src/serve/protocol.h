@@ -79,8 +79,9 @@ struct Request {
   std::vector<TupleId> ids;
   /// Which roster model to use; empty selects the server default.
   std::string model;
-  /// Per-request deadline override in milliseconds from admission;
-  /// 0 = use the server default (which may itself be "none").
+  /// Per-request deadline override in milliseconds from admission, at most
+  /// INT_MAX like `--deadline-ms`; 0 = use the server default (which may
+  /// itself be "none").
   int64_t deadline_ms = 0;
   /// Opaque client tag echoed back verbatim (already re-encoded as a JSON
   /// token: a quoted string or a bare number). Empty = absent.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <set>
@@ -422,6 +423,181 @@ TEST_P(LiteralSearchPropertyTest, CategoricalRepeatedValueCountsTargetOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiteralSearchPropertyTest,
                          ::testing::Range<uint64_t>(100, 112));
+
+// ---------------------------------------------------------------------------
+// Look-ahead views: `ClauseBuilder` scores a look-ahead hop over a
+// `PropagateView` (unsorted, with repeats) instead of `PropagateIds`'
+// sorted, duplicate-free pairs. On random databases the view, deduplicated
+// when aggregation literals are on, must pick the same candidate as the
+// materialized hop, and its §4.3 verdict must be the materialized `ok`.
+
+/// What the view referee saw, so the test can assert its own coverage.
+struct ViewCoverage {
+  int repeats = 0;         ///< views holding a (tuple, id) pair twice
+  int multi_postings = 0;  ///< FK -> PK hops reaching a doubled key
+  int null_sources = 0;    ///< source runs with a NULL join value
+  int numerical = 0;       ///< numerical literals won
+  int aggregation = 0;     ///< aggregation literals won
+  int rejections = 0;      ///< limit verdicts that rejected the hop
+  int limits_judged = 0;   ///< limit verdicts compared
+};
+
+void ExpectSameCandidate(const CandidateLiteral& got,
+                         const CandidateLiteral& want) {
+  EXPECT_EQ(got.valid(), want.valid());
+  EXPECT_EQ(got.gain, want.gain);
+  EXPECT_EQ(got.pos_cov, want.pos_cov);
+  EXPECT_EQ(got.neg_cov, want.neg_cov);
+  EXPECT_EQ(got.constraint.attr, want.constraint.attr);
+  EXPECT_EQ(got.constraint.cmp, want.constraint.cmp);
+  EXPECT_EQ(got.constraint.agg, want.constraint.agg);
+  EXPECT_EQ(got.constraint.category, want.constraint.category);
+  EXPECT_EQ(got.constraint.threshold, want.constraint.threshold);
+}
+
+/// Sorted, duplicate-free copy of `pairs`.
+IdPairs Distinct(IdPairs pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+/// Scores the hop of `src` along `edge` as a view and as `PropagateIds`'
+/// pairs, under every literal family mix, then compares limit verdicts.
+void ExpectViewMatchesHop(const Database& db, const JoinEdge& edge,
+                          const IdPairs& src, const SearchSetup& s,
+                          LiteralSearcher* searcher, ViewCoverage* coverage) {
+  const PropagationResult hop = PropagateIds(db, edge, src, &s.alive);
+  ASSERT_TRUE(hop.ok);
+  PropagationScratch scratch;
+  ASSERT_TRUE(PropagateView(db, edge, src, s.alive, {}, false, &scratch));
+  const IdPairs raw = scratch.view;
+  EXPECT_EQ(Distinct(raw), hop.pairs) << "view holds other pairs";
+  if (raw.size() > hop.pairs.size()) ++coverage->repeats;
+
+  const Column<int64_t>& src_col =
+      db.relation(edge.from_rel).IntColumn(edge.from_attr);
+  for (size_t lo = 0; lo < src.size(); lo = TupleRunEnd(src, lo)) {
+    if (src_col[PairTuple(src[lo])] == kNullValue) ++coverage->null_sources;
+  }
+  if (edge.kind == JoinKind::kFkToPk && edge.to_rel != db.target()) {
+    bool first = false, second = false;
+    for (IdPair p : hop.pairs) {
+      first |= PairTuple(p) == 0;
+      second |= PairTuple(p) == 1;
+    }
+    if (first && second) ++coverage->multi_postings;
+  }
+
+  for (int mix = 0; mix < 3; ++mix) {
+    CrossMineOptions opts;
+    opts.use_numerical_literals = mix != 2;
+    opts.use_aggregation_literals = mix != 0;
+    SCOPED_TRACE(::testing::Message() << "families " << mix);
+    ASSERT_TRUE(PropagateView(db, edge, src, s.alive, {},
+                              opts.use_aggregation_literals, &scratch));
+    if (opts.use_aggregation_literals) {
+      EXPECT_EQ(scratch.view, hop.pairs) << "aggregations need distinct pairs";
+    }
+    const CandidateLiteral want =
+        searcher->FindBest(edge.to_rel, hop.pairs, opts);
+    const CandidateLiteral got =
+        searcher->FindBest(edge.to_rel, scratch.view, opts);
+    ExpectSameCandidate(got, want);
+    if (want.valid() && want.constraint.agg != AggOp::kNone) {
+      ++coverage->aggregation;
+    } else if (want.valid() && want.constraint.cmp != CmpOp::kEq) {
+      ++coverage->numerical;
+    }
+  }
+
+  // §4.3 verdicts, at and around the exact volume and fan-out; a limit of
+  // `total` passes a view with repeats only after deduplication.
+  const uint64_t total = hop.total_ids;
+  uint64_t reached = 0;
+  for (size_t lo = 0; lo < hop.pairs.size();
+       lo = TupleRunEnd(hop.pairs, lo)) {
+    ++reached;
+  }
+  std::vector<PropagationLimits> cases = {{0.0, total}, {0.0, 1}, {1.0, 0}};
+  if (total > 1) cases.push_back({0.0, total - 1});
+  if (reached > 0) {
+    const double fanout =
+        static_cast<double>(total) / static_cast<double>(reached);
+    cases.push_back({fanout, 0});
+    cases.push_back({fanout * 0.999, 0});
+    cases.push_back({fanout, total});
+  }
+  for (const PropagationLimits& limits : cases) {
+    SCOPED_TRACE(::testing::Message() << "limits " << limits.max_avg_fanout
+                                      << " / " << limits.max_total_ids);
+    const bool want = PropagateIds(db, edge, src, &s.alive, limits).ok;
+    for (bool distinct : {false, true}) {
+      EXPECT_EQ(PropagateView(db, edge, src, s.alive, limits, distinct,
+                              &scratch),
+                want);
+    }
+    ++coverage->limits_judged;
+    if (!want) ++coverage->rejections;
+  }
+}
+
+/// Doubles the first key of every non-target relation (tuple 1 takes tuple
+/// 0's key), as a hand-built database may: the CSV loader's primary-key
+/// uniqueness check never ran, so a key slot holds two posting tuples.
+void DoubleFirstKeys(Database* db) {
+  for (RelId r = 0; r < db->num_relations(); ++r) {
+    Relation& rel = db->mutable_relation(r);
+    if (r == db->target() || rel.num_tuples() < 2) continue;
+    const AttrId pk = rel.schema().primary_key();
+    rel.SetInt(1, pk, rel.Int(0, pk));
+  }
+}
+
+TEST(LiteralSearchTest, LookaheadViewScoresLikeMaterializedHop) {
+  ViewCoverage coverage;
+  for (uint64_t seed = 900; seed < 912; ++seed) {
+    SCOPED_TRACE(seed);
+    // Plain; skewed fan-in (many sources share a key, so one id reaches a
+    // key tuple twice); 40 % NULL foreign keys; four relations.
+    std::vector<Database> dbs;
+    dbs.push_back(MakeRandomDatabase(seed));
+    dbs.push_back(MakeRandomDatabase(seed, 3, 60, /*fk_values=*/6));
+    dbs.push_back(MakeRandomDatabase(seed, 3, 30, 0, /*null_fraction=*/0.4));
+    dbs.push_back(MakeRandomDatabase(seed, /*num_relations=*/4));
+    for (Database& db : dbs) {
+      DoubleFirstKeys(&db);
+      const TupleId n = db.target_relation().num_tuples();
+      SearchSetup s =
+          SetupFromLabels(db, RandomAliveMask(seed ^ 0x15, n, 0.15));
+      LiteralSearcher searcher(&db, &s.positive);
+      searcher.SetContext(&s.alive, s.pos, s.neg);
+      Rng rng(seed ^ 0x71e3);
+      for (const JoinEdge& edge : db.edges()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "edge " << edge.from_rel << "." << edge.from_attr
+                     << " -> " << edge.to_rel << "." << edge.to_attr);
+        // Random source pairs, dead ids included, several per tuple.
+        IdPairs src;
+        const Relation& from = db.relation(edge.from_rel);
+        for (TupleId t = 0; t < from.num_tuples(); ++t) {
+          for (TupleId id = 0; id < n; ++id) {
+            if (rng.Bernoulli(0.3)) src.push_back(MakeIdPair(t, id));
+          }
+        }
+        ExpectViewMatchesHop(db, edge, src, s, &searcher, &coverage);
+      }
+    }
+  }
+  EXPECT_GT(coverage.repeats, 0) << "no view repeated a pair";
+  EXPECT_GT(coverage.multi_postings, 0) << "no doubled key was reached";
+  EXPECT_GT(coverage.null_sources, 0) << "no NULL join value carried ids";
+  EXPECT_GT(coverage.numerical, 0) << "no numerical literal won";
+  EXPECT_GT(coverage.aggregation, 0) << "no aggregation literal won";
+  EXPECT_GT(coverage.rejections, 0) << "no limit rejected a hop";
+  EXPECT_GT(coverage.limits_judged, coverage.rejections)
+      << "no limit passed a hop";
+}
 
 }  // namespace
 }  // namespace crossmine

@@ -105,6 +105,24 @@ TEST(ParseRequestTest, DecodesOptionalFields) {
   EXPECT_EQ(r->req_id_json, "42");
 }
 
+TEST(ParseRequestTest, DeadlineAboveIntMaxIsInvalidArgument) {
+  // The server adds the deadline to a nanosecond steady_clock time point;
+  // past INT_MAX ms (the --deadline-ms cap) a value could overflow it, or
+  // overflow the int64 conversion itself beyond 2^63.
+  for (const char* dl : {"2147483648", "1e13", "1e19"}) {
+    StatusOr<Request> r = ParseRequest(
+        std::string("{\"verb\":\"predict\",\"id\":1,\"deadline_ms\":") +
+        dl + "}");
+    ASSERT_FALSE(r.ok()) << dl;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << dl;
+    EXPECT_NE(r.status().message().find("deadline_ms"), std::string::npos);
+  }
+  StatusOr<Request> r = ParseRequest(
+      "{\"verb\":\"predict\",\"id\":1,\"deadline_ms\":2147483647}");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->deadline_ms, 2147483647);
+}
+
 TEST(ParseRequestTest, MalformedJsonIsInvalidArgument) {
   for (const char* line :
        {"", "not json", "{\"verb\":\"predict\",\"id\":}", "[1,2,3]", "42",

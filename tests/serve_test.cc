@@ -323,6 +323,20 @@ TEST_F(ServeTest, ExpiredDeadlineAnswersDeadlineExceededWithoutPredicting) {
   EXPECT_DOUBLE_EQ(server.StatsSnapshot().at("serve.deadline_exceeded"), 1.0);
 }
 
+TEST_F(ServeTest, LargestDeadlineAnswersOk) {
+  // INT_MAX ms from admission fits the steady_clock time point, so the
+  // request is answered rather than expiring on an overflowed deadline.
+  auto server = StartedServer();
+  std::string resp = server
+                         ->SubmitAsync(
+                             "{\"verb\":\"predict\",\"id\":0,"
+                             "\"deadline_ms\":2147483647}")
+                         .get();
+  EXPECT_TRUE(IsOk(resp)) << resp;
+  server->Drain();
+  EXPECT_DOUBLE_EQ(server->StatsSnapshot().at("serve.deadline_exceeded"), 0.0);
+}
+
 TEST_F(ServeTest, DefaultDeadlineAppliesWhenRequestHasNone) {
   ServerOptions options;
   options.default_deadline_ms = 1;

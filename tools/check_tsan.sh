@@ -3,8 +3,8 @@
 # A standing race detector for the clause-search worker pool: any data race
 # in ThreadPool, the per-worker LiteralSearcher scratch, or the shared
 # propagation cache fails this script (pool lanes refresh and read cached
-# pair vectors; the propagation oracle runs here for the pair engine those
-# lanes share). The fault-matrix suite rides along
+# hop-1 pair vectors and write look-ahead views into their own scratch; the
+# propagation oracle runs here for the pair engine those lanes share). The fault-matrix suite rides along
 # for the connection-thread registry: accept-side reaping, shutdown-side
 # joining, and injected mid-connection failures all racing one another.
 # The AttrIndex equivalence suite rides along because parallel workers share
