@@ -102,8 +102,10 @@ Status CrossMineClassifier::Train(const Database& db,
 
   // §5.3: estimate each clause's accuracy by predicting on the training
   // set — the clause's support over *all* training tuples, not just the
-  // population it was built from.
-  if (options_.reestimate_accuracy_on_training_set) {
+  // population it was built from. This demotes clauses that look pure on
+  // their shrinking build population but misfire on tuples covered earlier
+  // or belonging to other classes.
+  {
     ScopedMetricTimer reestimate(metrics_, "train.phase.reestimation_seconds");
     std::vector<TupleId> train_list;  // train_ids, sorted and distinct
     for (TupleId t = 0; t < num_targets; ++t) {

@@ -88,7 +88,7 @@ class CrossMineClassifier : public RelationalClassifier {
   /// `LoadModel` (core/model_io.h), which is the only restore path and
   /// validates every clause's relation / attribute / edge id against the
   /// database before calling this. `fingerprint` is the schema fingerprint
-  /// of that database, enforced again by `PredictChecked`.
+  /// of that database, enforced again by `PredictBatchChecked`.
   void RestoreModel(std::vector<Clause> clauses, ClassId default_class,
                     int num_classes, uint64_t fingerprint) {
     clauses_ = std::move(clauses);

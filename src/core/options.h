@@ -52,15 +52,6 @@ struct CrossMineOptions {
   /// Hard cap on negatives when sampling (MAX_NUM_NEGATIVE).
   uint32_t max_num_negative = 600;
 
-  /// After sequential covering, re-estimate every clause's support and
-  /// Laplace accuracy on the *full* training set (§5.3: "CrossMine also
-  /// needs to predict the class labels of the tuples in the training set to
-  /// estimate the accuracy of each clause"). This demotes clauses that look
-  /// pure on their shrinking build population but misfire on tuples covered
-  /// earlier or belonging to other classes. When disabled, accuracy keeps
-  /// the build-time estimate (the §6 safe estimate under sampling).
-  bool reestimate_accuracy_on_training_set = true;
-
   /// Fan-out guards for tuple ID propagation (§4.3).
   PropagationLimits propagation_limits = {/*max_avg_fanout=*/0.0,
                                           /*max_total_ids=*/100000000ULL};

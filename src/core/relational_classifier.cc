@@ -40,9 +40,4 @@ StatusOr<std::vector<ClassId>> RelationalClassifier::PredictBatchChecked(
   return Predict(db, ids);
 }
 
-StatusOr<std::vector<ClassId>> RelationalClassifier::PredictChecked(
-    const Database& db, const std::vector<TupleId>& ids) const {
-  return PredictBatchChecked(db, ids);
-}
-
 }  // namespace crossmine

@@ -18,26 +18,17 @@ class RelationalClassifier {
 
   /// Learns a model from the target tuples in `train_ids`. Implementations
   /// must not read labels of tuples outside `train_ids`, and must record the
-  /// training database's schema fingerprint (see `PredictChecked`).
+  /// training database's schema fingerprint (see `PredictBatchChecked`).
   virtual Status Train(const Database& db,
                        const std::vector<TupleId>& train_ids) = 0;
 
   /// Predicts class labels for `ids` (order-preserving). Requires a trained
   /// model and a database structurally identical to the training one —
-  /// violations are undefined behavior. Prefer `PredictChecked` anywhere the
-  /// model and the database arrive from independent sources (CLI, serving).
+  /// violations are undefined behavior. Prefer `PredictBatchChecked`
+  /// anywhere the model and the database arrive from independent sources
+  /// (CLI, serving).
   virtual std::vector<ClassId> Predict(
       const Database& db, const std::vector<TupleId>& ids) const = 0;
-
-  /// Validating predict used by the evaluation harness and the CLI: fails
-  /// with a descriptive Status — instead of silently misclassifying or
-  /// indexing out of range — when the model was never trained or loaded,
-  /// when `db`'s schema fingerprint differs from the training database's
-  /// (a model predicted against the wrong database), or when an id is
-  /// beyond the target relation. Equivalent to `PredictBatchChecked`;
-  /// kept as the familiar name for single-shot callers.
-  StatusOr<std::vector<ClassId>> PredictChecked(
-      const Database& db, const std::vector<TupleId>& ids) const;
 
   /// Checks that this model can predict against `db` at all: the database
   /// is finalized, the model is trained (or loaded), and `db`'s schema
@@ -47,12 +38,14 @@ class RelationalClassifier {
   /// only pay the cheap per-id bounds check per request.
   Status ValidateForPredict(const Database& db) const;
 
-  /// Batch validating predict: performs the model/database validation
-  /// (`ValidateForPredict`, including the schema-fingerprint hash) once for
-  /// the whole batch and a single bounds pass over `ids`, then predicts all
-  /// ids in one `Predict` call — instead of paying the validation per tuple
-  /// or per request. The serving path and `CrossValidate` both batch
-  /// through this.
+  /// Validating predict: fails with a descriptive Status — instead of
+  /// silently misclassifying or indexing out of range — when the model was
+  /// never trained or loaded, when `db`'s schema fingerprint differs from
+  /// the training database's (a model predicted against the wrong
+  /// database), or when an id is beyond the target relation. It validates
+  /// (`ValidateForPredict`) once for the whole batch and makes a single
+  /// bounds pass over `ids`, then predicts all ids in one `Predict` call.
+  /// The CLI, the serving path and `CrossValidate` all predict through it.
   StatusOr<std::vector<ClassId>> PredictBatchChecked(
       const Database& db, const std::vector<TupleId>& ids) const;
 

@@ -130,7 +130,7 @@ class ConstantClassifier : public RelationalClassifier {
       : cls_(cls), train_calls_(train_calls) {}
   Status Train(const Database& db, const std::vector<TupleId>&) override {
     if (train_calls_ != nullptr) ++*train_calls_;
-    // Part of the Train contract: record the schema so PredictChecked
+    // Part of the Train contract: record the schema so PredictBatchChecked
     // accepts this (db, model) pair.
     trained_fingerprint_ = SchemaFingerprint(db);
     return Status::OK();

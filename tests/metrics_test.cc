@@ -199,7 +199,7 @@ TEST(ClassifierMetricsTest, InstrumentationDoesNotChangeTheModel) {
 TEST(PredictCheckedTest, RejectsUntrainedAndOutOfRange) {
   Fig2Database f = MakeFig2Database();
   CrossMineClassifier model;
-  StatusOr<std::vector<ClassId>> r = model.PredictChecked(f.db, {0});
+  StatusOr<std::vector<ClassId>> r = model.PredictBatchChecked(f.db, {0});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 
@@ -207,11 +207,11 @@ TEST(PredictCheckedTest, RejectsUntrainedAndOutOfRange) {
   opts.min_foil_gain = 0.5;
   CrossMineClassifier trained(opts);
   ASSERT_TRUE(trained.Train(f.db, AllIds(f.db)).ok());
-  r = trained.PredictChecked(f.db, {999});
+  r = trained.PredictBatchChecked(f.db, {999});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 
-  r = trained.PredictChecked(f.db, AllIds(f.db));
+  r = trained.PredictBatchChecked(f.db, AllIds(f.db));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, trained.Predict(f.db, AllIds(f.db)));
 }
@@ -239,7 +239,7 @@ TEST(PredictCheckedTest, RejectsSchemaMismatch) {
   other.SetLabels({0, 1, 0, 1}, 2);
   ASSERT_TRUE(other.Finalize().ok());
 
-  StatusOr<std::vector<ClassId>> r = model.PredictChecked(other, {0});
+  StatusOr<std::vector<ClassId>> r = model.PredictBatchChecked(other, {0});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(r.status().message().find("fingerprint"), std::string::npos);

@@ -112,26 +112,6 @@ TEST(OptionsTest, MaxClausesPerClassCapsModel) {
   EXPECT_LE(model.clauses().size(), 2u);  // one per class
 }
 
-TEST(OptionsTest, ReestimationChangesAccuracyNotCoverage) {
-  datagen::SyntheticConfig cfg;
-  cfg.num_relations = 6;
-  cfg.expected_tuples = 150;
-  cfg.seed = 95;
-  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
-  ASSERT_TRUE(db.ok());
-  CrossMineOptions with;
-  CrossMineOptions without = with;
-  without.reestimate_accuracy_on_training_set = false;
-  CrossMineClassifier a(with), b(without);
-  ASSERT_TRUE(a.Train(*db, AllIds(*db)).ok());
-  ASSERT_TRUE(b.Train(*db, AllIds(*db)).ok());
-  // Same clause structure either way — only accuracies differ.
-  ASSERT_EQ(a.clauses().size(), b.clauses().size());
-  for (size_t i = 0; i < a.clauses().size(); ++i) {
-    EXPECT_EQ(a.clauses()[i].ToString(*db), b.clauses()[i].ToString(*db));
-  }
-}
-
 TEST(OptionsTest, FoilMulticlassOneVsRest) {
   Database db;
   RelationSchema t("T");

@@ -7,12 +7,14 @@
 # hit/refresh/miss counters, the training frontier counters
 # (train.propagation.pairs, train.propagation.peak_id_bytes), per-class
 # clause counts and the predict-side frontier counter
-# (predict.propagated_pairs). Malformed flag values, out-of-range values
-# and unknown flags (the removed shard flags among them) must be rejected
-# before any output: exit 2, nothing on stdout, no model or database file,
-# and a stderr message naming the flag. Negative values are values:
-# `--seed -7` and `--min-gain -1` must be read as given, not as a missing
-# value.
+# (predict.propagated_pairs). Malformed flag values, out-of-range values,
+# unknown flags (the removed shard flags among them) and wrong argument
+# counts must be rejected before any output: exit 2, nothing on stdout, no
+# model or database file, and a stderr message naming the flag or
+# argument. Every flag `crossmine help` lists must have a `reject` line
+# here, and `help` itself must exit 0 with the usage on stdout. Negative
+# values are values: `--seed -7` and `--min-gain -1` must be read as given,
+# not as a missing value.
 #
 # Usage: tools/check_report_json.sh [crossmine-binary]
 #        (default: build/tools/crossmine)
@@ -167,6 +169,54 @@ reject --idle-timeout-ms serve "$DIR/data" "$DIR/reject.cmm" \
   --idle-timeout-ms -1
 reject --max-connections serve "$DIR/data" "$DIR/reject.cmm" \
   --max-connections -1
+# Thread counts are capped at 256 (0 still means hardware concurrency), so
+# no flag can ask for thousands of OS threads.
+reject --threads train "$DIR/data" "$DIR/reject.cmm" --threads 257
+reject --threads serve "$DIR/data" "$DIR/reject.cmm" --threads 257
+# The budget in MiB must fit `mb << 20` in 64 bits: 2^44 would wrap to 0
+# (unlimited), and an out-of-range number must not saturate.
+reject --memory-budget-mb train "$DIR/data" "$DIR/reject.cmm" \
+  --memory-budget-mb 17592186044416
+reject --memory-budget-mb train "$DIR/data" "$DIR/reject.cmm" \
+  --memory-budget-mb 99999999999999999999
+reject --classifier evaluate "$DIR/data" --classifier bogus
+reject --report train "$DIR/data" "$DIR/reject.cmm" --report xml
+reject --fault-plan train "$DIR/data" "$DIR/reject.cmm" --fault-plan garbage
+reject --seed train "$DIR/data" "$DIR/reject.cmm" --seed 1.5
+reject --mode evaluate "$DIR/data" --mode bestest
+# Switches take no value, and each is unknown to commands it does not
+# configure.
+reject --json info "$DIR/data" --json=1
+reject --sampling predict "$DIR/data" "$DIR/reject.cmm" --sampling
+reject --no-lookahead predict "$DIR/data" "$DIR/reject.cmm" --no-lookahead
+reject --no-aggregations serve "$DIR/data" "$DIR/reject.cmm" \
+  --no-aggregations
+reject --no-verify generate synthetic "$DIR/reject.cmm" --no-verify
+# A single-dash flag, stray or missing positionals, a flag of another
+# generator, --mode on train (the saved model does not keep it), a tuple id
+# that is not a number, and a missing or unknown command.
+reject -threads train "$DIR/data" "$DIR/reject.cmm" -threads 4
+reject extra train "$DIR/data" "$DIR/reject.cmm" extra junk
+reject --tuples generate financial "$DIR/reject.cmm" --tuples 5
+reject --mode train "$DIR/data" "$DIR/reject.cmm" --mode vote
+reject "<tuple-id>" explain "$DIR/data" "$DIR/reject.cmm" abc
+reject "<model-file>" train "$DIR/data"
+reject command
+reject "'generate'" generate bogus "$DIR/reject.cmm"
+
+# `help` prints the usage generated from the flag table, and every flag it
+# names has a `reject` line above.
+"$BIN" help > "$DIR/help.out"
+[ -s "$DIR/help.out" ] || {
+  echo "check_report_json: crossmine help printed nothing" >&2
+  exit 1
+}
+for flag in $(grep -o -- '--[a-z][a-z-]*' "$DIR/help.out" | sort -u); do
+  grep -q -- "^reject $flag " tools/check_report_json.sh || {
+    echo "check_report_json: no reject line for $flag" >&2
+    exit 1
+  }
+done
 
 # A negative value is the flag's value, not a missing one: --seed -7
 # generates a different database than --seed 1, and --min-gain -1 trains a

@@ -7,7 +7,8 @@
 #   * server `predict` responses are byte-identical to offline
 #     `crossmine predict` output (the determinism invariant);
 #   * SIGINT mid-life drains gracefully: the server exits 0 and flushes a
-#     final metrics snapshot with the serve.* counters.
+#     final metrics snapshot with the serve.* counters;
+#   * serve_client rejects bad flag values with exit 2 naming the flag.
 #
 # Usage: tools/check_serve_smoke.sh [crossmine-binary] [serve_client-binary]
 #        (defaults: build/tools/crossmine, build/tools/serve_client)
@@ -28,6 +29,22 @@ cleanup() {
   rm -rf "$DIR"
 }
 trap cleanup EXIT
+
+# Client flag errors exit 2 naming the flag, with nothing on stdout and no
+# connection attempted.
+for bad in "--connections 0" "--connections 257" "--port abc" "--retries -1" \
+  "--qps 1e-300"; do
+  flag="${bad%% *}"
+  rc=0
+  # shellcheck disable=SC2086  # split "--flag value" into two words
+  "$CLIENT" --port 1 $bad > "$DIR/bad.out" 2> "$DIR/bad.err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ -s "$DIR/bad.out" ] ||
+    ! grep -q -- "$flag" "$DIR/bad.err"; then
+    echo "check_serve_smoke: serve_client $bad was not rejected (exit $rc)" >&2
+    cat "$DIR/bad.err" >&2
+    exit 1
+  fi
+done
 
 "$BIN" generate financial "$DIR/data" --seed 11 --loans 60 > /dev/null
 "$BIN" train "$DIR/data" "$DIR/financial.cm" > /dev/null

@@ -1,13 +1,10 @@
 // serve_client — load generator for the crossmine prediction server.
-//
-//   serve_client --port N [--host 127.0.0.1] [--requests N] [--connections C]
-//                [--ids K] [--batch B] [--deadline-ms D] [--qps R] [--json]
-//   serve_client --port N --dump --ids K
+// `serve_client --help` prints its flags, generated from tools/flags.cc.
 //
 // Drives a mixed workload (predict / predict_batch / explain / stats) over
 // C persistent connections and reports latency percentiles and error
 // counts. Closed loop by default (each connection waits for a response
-// before its next request); `--qps R` switches to an open loop where
+// before its next request); `--qps N` switches to an open loop where
 // senders pace requests at the target rate regardless of responses, which
 // is how queue-full shedding and deadline behavior are exercised honestly
 // (closed loops self-throttle and hide overload).
@@ -43,6 +40,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "flags.h"
 #include "serve/protocol.h"
 
 using namespace crossmine;
@@ -75,15 +73,6 @@ struct Tally {
   long long dropped = 0;      // sent but never answered (drain/EOF)
   long long retries = 0;      // backoff-retried connects / shed requests
 };
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: serve_client --port N [--host H] [--requests N]\n"
-               "                    [--connections C] [--ids K] [--batch B]\n"
-               "                    [--deadline-ms D] [--qps R] [--seed S]\n"
-               "                    [--retries N] [--json] [--dump]\n");
-  return 2;
-}
 
 /// Blocking line-oriented client connection. Open() is re-entrant: it
 /// discards any previous socket and buffered bytes, so a lost connection
@@ -443,43 +432,26 @@ double Percentile(std::vector<double>* sorted, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ClientOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    int64_t v = 0;
-    double d = 0;
-    if (key == "--host") {
-      opt.host = next();
-    } else if (key == "--port" && ParseInt64(next(), &v)) {
-      opt.port = static_cast<int>(v);
-    } else if (key == "--requests" && ParseInt64(next(), &v)) {
-      opt.requests = v;
-    } else if (key == "--connections" && ParseInt64(next(), &v)) {
-      opt.connections = std::max<int64_t>(1, v);
-    } else if (key == "--ids" && ParseInt64(next(), &v)) {
-      opt.ids = std::max<int64_t>(1, v);
-    } else if (key == "--batch" && ParseInt64(next(), &v)) {
-      opt.batch = static_cast<int>(v);
-    } else if (key == "--deadline-ms" && ParseInt64(next(), &v)) {
-      opt.deadline_ms = v;
-    } else if (key == "--qps" && ParseDouble(next(), &d)) {
-      opt.qps = d;
-    } else if (key == "--retries" && ParseInt64(next(), &v)) {
-      opt.retries = static_cast<int>(std::max<int64_t>(0, v));
-    } else if (key == "--seed" && ParseInt64(next(), &v)) {
-      opt.seed = static_cast<uint64_t>(v);
-    } else if (key == "--json") {
-      opt.json = true;
-    } else if (key == "--dump") {
-      opt.dump = true;
-    } else {
-      return Usage();
-    }
+  const cli::Args args = cli::Parse(cli::Program::kServeClient, argc, argv);
+  if (args.Has("help")) {
+    cli::PrintUsage(cli::Program::kServeClient, stdout);
+    return 0;
   }
-  if (opt.port <= 0) return Usage();
+  if (!args.Has("port")) cli::Fail("serve_client: missing --port");
+  ClientOptions opt;
+  opt.host = args.Str("host", opt.host);
+  opt.port = static_cast<int>(args.Int("port", 0));
+  opt.requests = args.Int("requests", opt.requests);
+  opt.connections = static_cast<int>(args.Int("connections", opt.connections));
+  opt.ids = args.Int("ids", opt.ids);
+  opt.batch = static_cast<int>(args.Int("batch", opt.batch));
+  opt.deadline_ms = args.Int("deadline-ms", opt.deadline_ms);
+  opt.qps = static_cast<double>(args.Int("qps", 0));
+  opt.retries = static_cast<int>(args.Int("retries", opt.retries));
+  opt.seed = static_cast<uint64_t>(
+      args.Int("seed", static_cast<int64_t>(opt.seed)));
+  opt.json = args.Has("json");
+  opt.dump = args.Has("dump");
   if (opt.dump) return RunDump(opt);
 
   std::vector<Tally> tallies(static_cast<size_t>(opt.connections));
