@@ -79,10 +79,6 @@ class Rng {
   /// Samples `k` distinct indices from `[0, n)` (k <= n), in random order.
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k);
 
-  /// Derives an independent child generator; used to give each fold /
-  /// relation / clause its own stream.
-  Rng Fork() { return Rng(Next()); }
-
  private:
   uint64_t state_;
 };

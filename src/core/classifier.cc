@@ -383,10 +383,6 @@ std::vector<ClassId> CrossMineClassifier::Predict(
   return out;
 }
 
-ClassId CrossMineClassifier::PredictOne(const Database& db, TupleId id) const {
-  return Predict(db, {id})[0];
-}
-
 CrossMineClassifier::Explanation CrossMineClassifier::Explain(
     const Database& db, TupleId id) const {
   ScopedMetricTimer wall(metrics_, "predict.wall_seconds");

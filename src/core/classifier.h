@@ -57,9 +57,6 @@ class CrossMineClassifier : public RelationalClassifier {
 
   const char* name() const override { return "CrossMine"; }
 
-  /// Convenience single-tuple prediction (prefer the batch form).
-  ClassId PredictOne(const Database& db, TupleId id) const;
-
   /// Why a tuple was classified the way it was.
   struct Explanation {
     ClassId predicted = 0;

@@ -6,7 +6,6 @@
 #include "common/macros.h"
 #include "core/constraint_eval.h"
 #include "core/propagation.h"
-#include "relational/index_cache.h"
 
 namespace crossmine {
 
@@ -60,23 +59,6 @@ void ClauseBuilder::RecountAlive() {
   }
 }
 
-void ClauseBuilder::WarmIndexes() const {
-  // Pure prefetch: the IndexCache builds are single-flight, so parallel
-  // lanes faulting the same index on demand would be correct too — warming
-  // just keeps the first search round's lanes from serializing on builds.
-  // Under a memory budget, prefetching the whole index set would evict as
-  // fast as it fills (and thrash borrowed pages), so skip it there.
-  if (IndexCache::Global().budget_bytes() != 0) return;
-  for (RelId r = 0; r < db_->num_relations(); ++r) {
-    const Relation& rel = db_->relation(r);
-    for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
-      // Numerical literals sort the frontier's own runs, so training reads
-      // an index of integer attributes only.
-      if (rel.schema().IsIntAttr(a)) rel.GetAttrIndex(a);
-    }
-  }
-}
-
 void ClauseBuilder::PrepareWorkers() {
   size_t lanes = static_cast<size_t>(num_lanes());
   while (searchers_.size() < lanes) {
@@ -96,11 +78,6 @@ Clause ClauseBuilder::Build(std::vector<uint8_t> alive) {
 
   prop_cache_.clear();
   cached_slot_count_ = 0;
-  search_epoch_ = 0;
-  // Warm at any lane count (all hits after the first Build): lazy faulting
-  // would build a thread-count-dependent subset of the pk/fk indexes, and
-  // the train.index.bytes gauge is pinned thread-count invariant.
-  WarmIndexes();
 
   // Node 0 = target relation: idset(t) = {t} for every alive target.
   node_pairs_.clear();
@@ -110,101 +87,22 @@ Clause ClauseBuilder::Build(std::vector<uint8_t> alive) {
     if (pos_ == 0) break;
     BestChoice best = FindBestLiteral();
     if (!best.valid() || best.cand.gain < opts_->min_foil_gain) break;
-    Append(best);
+    Append(std::move(best));
     if (neg_ == 0) break;  // perfect clause: nothing left to gain
   }
   return clause_;
 }
 
-void ClauseBuilder::Consider(BestChoice* best, const CandidateLiteral& cand,
-                             int32_t source_node,
-                             std::vector<int32_t> edge_path) const {
-  if (!cand.valid()) return;
-  if (cand.gain > (best->valid() ? best->cand.gain : -1.0)) {
-    best->cand = cand;
-    best->source_node = source_node;
-    best->edge_path = std::move(edge_path);
-  }
-}
-
-uint64_t ClauseBuilder::CurrentIdBytes() {
+uint64_t ClauseBuilder::CurrentIdBytes() const {
   uint64_t pairs = 0;
   for (const IdPairs& node : node_pairs_) pairs += node.capacity();
-  std::lock_guard<std::mutex> lock(cache_mu_);
   for (const auto& [key, entry] : prop_cache_) {
-    pairs += entry.result->pairs.capacity();
+    pairs += entry.pairs.capacity();
   }
   return pairs * sizeof(IdPair);
 }
 
-std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
-    int32_t node, int32_t e, const IdPairs& src, const JoinEdge& edge,
-    PropagationScratch* scratch) {
-  const std::pair<int32_t, int32_t> key{node, e};
-  std::shared_ptr<PropagationResult> cached;
-  bool current = false;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = prop_cache_.find(key);
-    if (it != prop_cache_.end()) {
-      current = it->second.epoch == search_epoch_;
-      // Each key is visited by exactly one task per search round, so the
-      // refresh below can safely run outside the lock.
-      it->second.epoch = search_epoch_;
-      cached = it->second.result;
-    }
-  }
-  if (cached != nullptr) {
-    if (current) {
-      Bump(prop_cache_hits_);
-      return cached;
-    }
-    // The alive mask only shrank since this result was computed, so
-    // erasing the dead pairs reproduces a fresh `PropagateIds` exactly —
-    // including the limit verdicts, which `RefreshPropagation` re-checks.
-    Stopwatch refresh_watch;
-    bool refreshed =
-        RefreshPropagation(cached.get(), alive_, opts_->propagation_limits);
-    if (prop_time_ != nullptr) {
-      prop_time_->AddSeconds(refresh_watch.ElapsedSeconds());
-    }
-    Bump(prop_cache_refreshes_);
-    if (refreshed) return cached;
-    Bump(prop_cache_evictions_);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = prop_cache_.find(key);
-    if (it != prop_cache_.end()) {
-      cached_slot_count_ -= it->second.slots;
-      prop_cache_.erase(it);
-    }
-    return cached;  // ok == false, matching a fresh failed propagation
-  }
-
-  Stopwatch prop_watch;
-  auto fresh = std::make_shared<PropagationResult>(
-      PropagateIds(*db_, edge, src, &alive_, opts_->propagation_limits,
-                   scratch));
-  if (prop_time_ != nullptr) {
-    prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
-  }
-  Bump(prop_cache_misses_);
-  Bump(prop_pairs_, fresh->pairs.size());
-  if (!fresh->ok) Bump(prop_rejected_);
-  if (fresh->ok && opts_->propagation_cache_slots > 0) {
-    // Charged by destination width, not pair count, so what gets cached —
-    // and with it every cache counter — is independent of the frontier.
-    uint64_t slots = db_->relation(edge.to_rel).num_tuples();
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cached_slot_count_ + slots <= opts_->propagation_cache_slots) {
-      cached_slot_count_ += slots;
-      prop_cache_[key] = {fresh, search_epoch_, slots};
-    }
-  }
-  return fresh;
-}
-
 ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
-  ++search_epoch_;
   const std::vector<JoinEdge>& edges = db_->edges();
 
   // Enumerate candidate tasks in the exact order the sequential loops of
@@ -233,8 +131,19 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
   Bump(search_rounds_);
   Bump(search_tasks_, tasks.size());
 
+  // Hop-1 results. A task whose (node, edge) is cached refreshes that entry
+  // in place; any other task propagates into its own slot of `fresh`. Pool
+  // tasks never touch the cache map: the lookup happens here, and the
+  // admissions after the waves.
   std::vector<CandidateLiteral> scored(tasks.size());
-  std::vector<std::shared_ptr<const PropagationResult>> hop1(tasks.size());
+  std::vector<PropagationResult> fresh(tasks.size());
+  std::vector<PropagationResult*> hop1(tasks.size(), nullptr);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const SearchTask& t = tasks[i];
+    if (t.edge < 0 || t.edge2 >= 0) continue;
+    auto it = prop_cache_.find({t.node, t.edge});
+    hop1[i] = it == prop_cache_.end() ? &fresh[i] : &it->second;
+  }
   PrepareWorkers();
 
   auto run_task = [&](size_t i, int worker) {
@@ -248,22 +157,33 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     } else if (t.edge2 < 0) {
       // Hop 1: one propagation along a join edge leaving the node.
       const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];
-      std::shared_ptr<const PropagationResult> p = GetPropagation(
-          t.node, t.edge, node_pairs_[static_cast<size_t>(t.node)], edge,
-          &prop_scratch_[static_cast<size_t>(worker)]);
-      hop1[i] = p;
+      PropagationResult* p = hop1[i];
+      Stopwatch prop_watch;
+      if (p == &fresh[i]) {
+        *p = PropagateIds(*db_, edge, node_pairs_[static_cast<size_t>(t.node)],
+                          &alive_, opts_->propagation_limits,
+                          &prop_scratch_[static_cast<size_t>(worker)]);
+      } else {
+        // The alive mask only shrank since this entry was filtered, so
+        // erasing the dead pairs reproduces a fresh `PropagateIds` exactly —
+        // including the limit verdict, which `RefreshPropagation` re-checks
+        // (clearing `ok` when it now fails).
+        RefreshPropagation(p, alive_, opts_->propagation_limits);
+      }
+      if (prop_time_ != nullptr) {
+        prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
+      }
       if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->pairs, *opts_);
     } else {
       // Hop 2: look-ahead, scored over a view of the parent task's hop-1
       // pairs in the lane's scratch; only an appended literal's hop is
       // materialized. Aggregation literals need the view distinct.
-      const std::shared_ptr<const PropagationResult>& parent =
-          hop1[static_cast<size_t>(t.parent)];
-      if (parent == nullptr || !parent->ok) return;
+      const PropagationResult& parent = *hop1[static_cast<size_t>(t.parent)];
+      if (!parent.ok) return;
       const JoinEdge& edge2 = edges[static_cast<size_t>(t.edge2)];
       PropagationScratch& scratch = prop_scratch_[static_cast<size_t>(worker)];
       Stopwatch view_watch;
-      const bool ok = PropagateView(*db_, edge2, parent->pairs, alive_,
+      const bool ok = PropagateView(*db_, edge2, parent.pairs, alive_,
                                     opts_->propagation_limits,
                                     opts_->use_aggregation_literals, &scratch);
       if (prop_time_ != nullptr) {
@@ -308,23 +228,74 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     }
   }
 
-  // Deterministic reduction in task-enumeration (= sequential-loop) order.
-  BestChoice best;
+  // Settle the cache in task-enumeration order, so it holds the same
+  // entries after every round at any thread count: drop the entries whose
+  // refresh failed, and admit fresh results while the slot budget allows.
+  // Each entry is charged its destination relation's width.
   for (size_t i = 0; i < tasks.size(); ++i) {
-    const SearchTask& t = tasks[i];
-    std::vector<int32_t> path;
-    if (t.edge >= 0) path.push_back(t.edge);
-    if (t.edge2 >= 0) path.push_back(t.edge2);
-    Consider(&best, scored[i], t.node, std::move(path));
+    PropagationResult* p = hop1[i];
+    if (p == nullptr) continue;
+    const std::pair<int32_t, int32_t> key{tasks[i].node, tasks[i].edge};
+    const uint64_t slots =
+        db_->relation(edges[static_cast<size_t>(tasks[i].edge)].to_rel)
+            .num_tuples();
+    if (p != &fresh[i]) {
+      Bump(prop_cache_refreshes_);
+      if (p->ok) continue;
+      Bump(prop_cache_evictions_);
+      cached_slot_count_ -= slots;
+      prop_cache_.erase(key);
+      hop1[i] = nullptr;  // failed, so neither it nor its children can win
+      continue;
+    }
+    Bump(prop_cache_misses_);
+    Bump(prop_pairs_, p->pairs.size());
+    if (!p->ok) {
+      Bump(prop_rejected_);
+      continue;
+    }
+    if (opts_->propagation_cache_slots == 0 ||
+        cached_slot_count_ + slots > opts_->propagation_cache_slots) {
+      continue;
+    }
+    cached_slot_count_ += slots;
+    hop1[i] = &(prop_cache_[key] = std::move(*p));
   }
-  // All tasks have joined: sample the pair footprint at this quiescent
-  // point. The state here is identical at any thread count, so the peak is
-  // thread-count invariant like every other counter.
+  // All tasks have joined and the cache is settled: sample the pair
+  // footprint. The state here is identical at any thread count, so the
+  // peak is thread-count invariant like every other counter.
   if (peak_id_bytes_ != nullptr) peak_id_bytes_->MaxWith(CurrentIdBytes());
+
+  // Deterministic reduction in task-enumeration (= sequential-loop) order.
+  size_t win = tasks.size();
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!scored[i].valid()) continue;
+    if (scored[i].gain > (win < tasks.size() ? scored[win].gain : -1.0)) {
+      win = i;
+    }
+  }
+  BestChoice best;
+  if (win == tasks.size()) return best;
+  const SearchTask& t = tasks[win];
+  best.cand = scored[win];
+  best.source_node = t.node;
+  if (t.edge >= 0) {
+    best.edge_path.push_back(t.edge);
+    // The winner's hop-1 pairs (a look-ahead winner's parent hop) travel
+    // with it to `Append`: moved out of the task's slot, or copied when the
+    // cache keeps them.
+    const size_t h = t.parent >= 0 ? static_cast<size_t>(t.parent) : win;
+    if (hop1[h] == &fresh[h]) {
+      best.hop = std::move(fresh[h].pairs);
+    } else {
+      best.hop = hop1[h]->pairs;
+    }
+  }
+  if (t.edge2 >= 0) best.edge_path.push_back(t.edge2);
   return best;
 }
 
-void ClauseBuilder::Append(const BestChoice& choice) {
+void ClauseBuilder::Append(BestChoice choice) {
   Bump(literals_accepted_);
   ComplexLiteral lit;
   lit.source_node = choice.source_node;
@@ -336,25 +307,18 @@ void ClauseBuilder::Append(const BestChoice& choice) {
   // Materialize pairs for the nodes the prop-path created. The same hops
   // passed their limits during the search, so they cannot fail here.
   CM_CHECK(added.edge_path.size() <= 2);
-  PropagationScratch* scratch =
-      prop_scratch_.empty() ? nullptr : &prop_scratch_[0];
   if (!added.edge_path.empty()) {
-    // The hop-1 propagation the search just scored: a cache hit at the
-    // current epoch.
-    const int32_t e = added.edge_path[0];
-    std::shared_ptr<const PropagationResult> hop = GetPropagation(
-        added.source_node, e,
-        node_pairs_[static_cast<size_t>(added.source_node)],
-        db_->edges()[static_cast<size_t>(e)], scratch);
-    CM_CHECK_MSG(hop->ok, "propagation failed while appending literal");
-    node_pairs_.push_back(hop->pairs);  // copy: the cache keeps its own
+    // The hop-1 propagation the search just scored, reused as is.
+    Bump(prop_cache_hits_);
+    node_pairs_.push_back(std::move(choice.hop));
   }
   if (added.edge_path.size() == 2) {
     // The look-ahead hop was scored as a view; join it for real now.
     Stopwatch prop_watch;
     PropagationResult hop = PropagateIds(
         *db_, db_->edges()[static_cast<size_t>(added.edge_path[1])],
-        node_pairs_.back(), &alive_, opts_->propagation_limits, scratch);
+        node_pairs_.back(), &alive_, opts_->propagation_limits,
+        &prop_scratch_[0]);
     if (prop_time_ != nullptr) {
       prop_time_->AddSeconds(prop_watch.ElapsedSeconds());
     }

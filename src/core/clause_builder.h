@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -50,8 +48,13 @@ namespace crossmine {
 /// per-(node, edge) `PropagationResult` is cached for the duration of one
 /// `Build`. Because the alive mask only shrinks between literals, later
 /// rounds refresh a cached result by erasing its dead pairs in place
-/// (`RefreshPropagation`) instead of re-running the join, and `Append`
-/// reuses the propagation the search just scored instead of recomputing it.
+/// (`RefreshPropagation`) instead of re-running the join. A task only
+/// refreshes its own entry or fills its own slot; the round looks entries
+/// up before the tasks run and, after they join, drops failed refreshes and
+/// admits fresh results in task-enumeration order, so the cache — and every
+/// counter it drives — is the same at any thread count and any budget.
+/// The winner's hop-1 pairs travel in its `BestChoice`, so `Append` reuses
+/// the propagation the search just scored instead of recomputing it.
 /// Every step — propagation, view, refresh, literal search,
 /// `ApplyConstraint` — walks pairs, so a round costs what the alive targets
 /// reach, not the width of the relations they reach into.
@@ -81,11 +84,13 @@ class ClauseBuilder {
 
  private:
   /// One candidate from Find-Best-Literal: a scored constraint plus where
-  /// its prop-path starts and which edges it takes.
+  /// its prop-path starts, which edges it takes and the pairs its first
+  /// edge reaches.
   struct BestChoice {
     CandidateLiteral cand;
     int32_t source_node = -1;
     std::vector<int32_t> edge_path;
+    IdPairs hop;  ///< hop-1 pairs along `edge_path[0]`; empty for hop 0
     bool valid() const { return source_node >= 0 && cand.valid(); }
   };
 
@@ -97,43 +102,18 @@ class ClauseBuilder {
     int32_t parent = -1;  ///< index of the hop-1 task feeding a hop-2 task
   };
 
-  /// A cached propagation, refreshed lazily once per search round.
-  struct CachedPropagation {
-    std::shared_ptr<PropagationResult> result;
-    uint64_t epoch = 0;  ///< search round the result was last filtered for
-    uint64_t slots = 0;  ///< destination relation width, for the budget
-  };
-
   BestChoice FindBestLiteral();
-  void Consider(BestChoice* best, const CandidateLiteral& cand,
-                int32_t source_node, std::vector<int32_t> edge_path) const;
-  void Append(const BestChoice& choice);
+  void Append(BestChoice choice);
   void RecountAlive();
-
-  /// Returns the hop-1 propagation along `edge` (id `e`) from clause node
-  /// `node`, serving it from the per-build cache when possible:
-  /// a current-round entry is returned as-is, a stale entry is refreshed
-  /// by erasing its dead pairs, and a miss recomputes `PropagateIds` from
-  /// `src` (caching the result while the slot budget allows). `scratch`
-  /// reuses that lane's propagation grouping buffers. Safe to call from
-  /// pool tasks: each key is requested by exactly one task per round, so
-  /// only the map itself needs the lock.
-  std::shared_ptr<const PropagationResult> GetPropagation(
-      int32_t node, int32_t e, const IdPairs& src, const JoinEdge& edge,
-      PropagationScratch* scratch);
 
   /// Bytes currently held by pair vectors (clause nodes + propagation
   /// cache); sampled into `train.propagation.peak_id_bytes` at the
   /// quiescent points of the build loop (no tasks in flight).
-  uint64_t CurrentIdBytes();
+  uint64_t CurrentIdBytes() const;
 
   /// Ensures one LiteralSearcher per pool lane and points them all at the
   /// current alive mask / class counts.
   void PrepareWorkers();
-
-  /// Pre-builds the lazily cached relation indexes the tasks will read, so
-  /// pool workers never race the on-demand construction.
-  void WarmIndexes() const;
 
   int num_lanes() const { return pool_ == nullptr ? 1 : pool_->num_threads(); }
 
@@ -173,11 +153,12 @@ class ClauseBuilder {
   std::vector<PropagationScratch> prop_scratch_;
   std::vector<uint8_t> satisfied_;
 
-  /// Per-build cache of hop-1 propagations, keyed by (node, edge).
-  std::map<std::pair<int32_t, int32_t>, CachedPropagation> prop_cache_;
+  /// Per-build cache of hop-1 propagations, keyed by (node, edge), and the
+  /// destination-relation width its entries are charged against
+  /// `propagation_cache_slots`. Only the round's sequential code adds or
+  /// erases entries; a task refreshes the one entry its key names.
+  std::map<std::pair<int32_t, int32_t>, PropagationResult> prop_cache_;
   uint64_t cached_slot_count_ = 0;
-  uint64_t search_epoch_ = 0;
-  std::mutex cache_mu_;
 };
 
 }  // namespace crossmine

@@ -66,10 +66,11 @@ struct CrossMineOptions {
   /// Budget, in destination-tuple slots, for the per-build propagation
   /// cache that lets later literal-search rounds refresh earlier join
   /// sweeps with a cheap alive-filter instead of a full re-join. Each cached
-  /// result is charged its destination relation's width (not its pair
-  /// count, so what gets cached does not depend on the frontier); once the
-  /// charges would exceed this many slots, further results are recomputed
-  /// on demand instead of cached. Zero disables caching.
+  /// result is charged its destination relation's width; results are
+  /// admitted in the sequential search order, so the cached set is the same
+  /// at any thread count. Once the charges would exceed this many slots,
+  /// further results are recomputed by later rounds instead of cached.
+  /// Zero disables caching.
   uint64_t propagation_cache_slots = 4ULL << 20;
 
   /// How clauses combine at prediction time.

@@ -276,18 +276,6 @@ std::shared_ptr<const std::vector<TupleId>> Relation::GetSortedIndex(
   return std::static_pointer_cast<const std::vector<TupleId>>(artifact);
 }
 
-std::vector<int64_t> Relation::DistinctCategories(AttrId a) const {
-  CM_CHECK(schema_.IsIntAttr(a));
-  const Column<int64_t>& col = int_cols_[static_cast<size_t>(a)];
-  std::vector<int64_t> values(col.begin(), col.end());
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  if (!values.empty() && values.front() == kNullValue) {
-    values.erase(values.begin());
-  }
-  return values;
-}
-
 void Relation::SetDictionary(AttrId a, std::vector<std::string> labels) {
   size_t idx = static_cast<size_t>(a);
   dicts_[idx] = std::move(labels);

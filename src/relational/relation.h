@@ -288,10 +288,6 @@ class Relation {
   /// it: the numerical-literal sweeps (§5.1) sort only the frontier's runs.
   std::shared_ptr<const std::vector<TupleId>> GetSortedIndex(AttrId a) const;
 
-  /// Distinct values of a categorical attribute actually present (sorted).
-  /// NULLs excluded.
-  std::vector<int64_t> DistinctCategories(AttrId a) const;
-
   /// Optional dictionary mapping categorical codes to display strings (used
   /// by CSV I/O and clause pretty-printing). Empty if never set.
   const std::vector<std::string>& Dictionary(AttrId a) const {

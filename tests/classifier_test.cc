@@ -127,7 +127,7 @@ TEST(ClassifierTest, PredictOneMatchesBatch) {
   ASSERT_TRUE(model.Train(f.db, {0, 1, 2, 3, 4}).ok());
   std::vector<ClassId> batch = model.Predict(f.db, {0, 1, 2, 3, 4});
   for (TupleId t = 0; t < 5; ++t) {
-    EXPECT_EQ(model.PredictOne(f.db, t), batch[t]);
+    EXPECT_EQ(model.Predict(f.db, {t}), std::vector<ClassId>{batch[t]});
   }
 }
 

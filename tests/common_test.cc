@@ -167,12 +167,6 @@ TEST(RngTest, SampleWithoutReplacementFullSet) {
   for (uint32_t i = 0; i < 10; ++i) EXPECT_EQ(s[i], i);
 }
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng a(99);
-  Rng child = a.Fork();
-  EXPECT_NE(a.Next(), child.Next());
-}
-
 // ------------------------------------------------------------ StringUtil --
 
 TEST(StringUtilTest, SplitBasic) {

@@ -304,9 +304,9 @@ TEST(PredictContractTest, UnsortedRepeatedAndEmptyIdsAnswerInInputOrder) {
     model.set_prediction_mode(mode);
     EXPECT_TRUE(model.Predict(db, {}).empty());
     EXPECT_EQ(model.Predict(db, {5, 3, 5}),
-              (std::vector<ClassId>{model.PredictOne(db, 5),
-                                    model.PredictOne(db, 3),
-                                    model.PredictOne(db, 5)}));
+              (std::vector<ClassId>{model.Predict(db, {5})[0],
+                                    model.Predict(db, {3})[0],
+                                    model.Predict(db, {5})[0]}));
     std::vector<TupleId> ids;
     for (int i = 0; i < 60; ++i) {
       ids.push_back(static_cast<TupleId>(rng.Uniform(n)));
@@ -314,7 +314,7 @@ TEST(PredictContractTest, UnsortedRepeatedAndEmptyIdsAnswerInInputOrder) {
     std::vector<ClassId> got = model.Predict(db, ids);
     ASSERT_EQ(got.size(), ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(got[i], model.PredictOne(db, ids[i]))
+      EXPECT_EQ(got[i], model.Predict(db, {ids[i]})[0])
           << "mode " << static_cast<int>(mode) << " id " << ids[i];
     }
   }
@@ -328,7 +328,7 @@ TEST(PredictContractTest, BatchMatchesPredictOneInEveryMode) {
     model.set_prediction_mode(mode);
     std::vector<ClassId> batch = model.Predict(db, all);
     for (TupleId id : all) {
-      EXPECT_EQ(batch[id], model.PredictOne(db, id))
+      EXPECT_EQ(batch[id], model.Predict(db, {id})[0])
           << "mode " << static_cast<int>(mode) << " id " << id;
     }
   }
@@ -343,7 +343,7 @@ TEST(PredictContractTest, PropagatedPairsAddUpOverIds) {
     model.set_metrics(&batch_registry);
     model.Predict(db, AllIds(db));
     model.set_metrics(&single_registry);
-    for (TupleId id : AllIds(db)) model.PredictOne(db, id);
+    for (TupleId id : AllIds(db)) model.Predict(db, {id});
     model.set_metrics(nullptr);
     double batch = batch_registry.Snapshot().at("predict.propagated_pairs");
     EXPECT_GT(batch, 0.0);

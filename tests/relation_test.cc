@@ -166,16 +166,6 @@ TEST(RelationTest, SortedIndexInvalidatedByMutation) {
   EXPECT_EQ(r.GetSortedIndex(2)->front(), b);
 }
 
-TEST(RelationTest, DistinctCategoriesSortedAndNullFree) {
-  Relation r(MakeSchema());
-  int64_t values[] = {3, kNullValue, 1, 3, 2};
-  for (int64_t v : values) {
-    TupleId t = r.AddTuple();
-    r.SetInt(t, 1, v);
-  }
-  EXPECT_EQ(r.DistinctCategories(1), (std::vector<int64_t>{1, 2, 3}));
-}
-
 TEST(RelationTest, DictionaryInternAndLookup) {
   Relation r(MakeSchema());
   EXPECT_EQ(r.InternCategory(1, "red"), 0);

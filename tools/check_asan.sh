@@ -22,7 +22,11 @@
 # arrays, and its in-place pair compaction is offset arithmetic.
 # The clause-builder suite runs the look-ahead views: each lane writes its
 # view into its own scratch, the literal search walks it unsorted, and
-# `Append` materializes an accepted hop from the cached hop-1 pairs.
+# `Append` materializes an accepted hop from the hop-1 pairs the search
+# handed it. The parallel-search suite runs the propagation cache at 4
+# threads and under a slot budget: hop-1 results move from task slots into
+# the cache, tasks refresh cache entries through pointers, and failed
+# refreshes are erased — lifetimes ASan checks.
 # The common suite runs the CRC-32 referee: it hands the PCLMULQDQ folding
 # kernel every length 0..4096 at every start offset in an allocation that
 # ends at the last byte, so a SIMD load past the tail is caught here.
@@ -38,8 +42,8 @@ cmake --build "$BUILD_DIR" -j \
   --target common_test protocol_test serve_test propagation_oracle_test \
   idset_test attr_index_test index_cache_test csv_corruption_test \
   columnar_test columnar_corruption_test fault_matrix_test \
-  predict_referee_test literal_search_test clause_builder_test crossmine_cli \
-  serve_client
+  predict_referee_test literal_search_test clause_builder_test \
+  parallel_search_test crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
@@ -57,6 +61,7 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/predict_referee_test
 "$BUILD_DIR"/tests/literal_search_test
 "$BUILD_DIR"/tests/clause_builder_test
+"$BUILD_DIR"/tests/parallel_search_test
 bash tools/check_serve_smoke.sh \
   "$BUILD_DIR"/tools/crossmine "$BUILD_DIR"/tools/serve_client
 

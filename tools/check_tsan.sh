@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # Builds the parallel-search tests under ThreadSanitizer and runs them.
 # A standing race detector for the clause-search worker pool: any data race
-# in ThreadPool, the per-worker LiteralSearcher scratch, or the shared
-# propagation cache fails this script (pool lanes refresh and read cached
-# hop-1 pair vectors and write look-ahead views into their own scratch; the
-# propagation oracle runs here for the pair engine those lanes share). The fault-matrix suite rides along
-# for the connection-thread registry: accept-side reaping, shutdown-side
-# joining, and injected mid-connection failures all racing one another.
+# in ThreadPool, the per-worker LiteralSearcher scratch, or the hop-1
+# propagation results fails this script (each pool task refreshes its own
+# cache entry or fills its own result slot, hop-2 tasks read those results,
+# lanes write look-ahead views into their own scratch, and only the search
+# round's sequential code looks up, admits or erases cache entries; the
+# propagation oracle runs here for the pair engine those lanes share).
+# The fault-matrix suite rides along for the connection-thread registry:
+# accept-side reaping, shutdown-side joining, and injected mid-connection
+# failures all racing one another.
 # The AttrIndex equivalence suite rides along because parallel workers share
-# the lazily built attribute indexes (warmed before the pool starts), and
-# the IndexCache suite races concurrent Gets against budget eviction to
-# exercise the single-flight build path.
+# the lazily built attribute indexes (faulted in by the tasks that read
+# them), and the IndexCache suite races concurrent Gets against budget
+# eviction to exercise the single-flight build path.
 # The columnar suite rides along because a `.cmdb`-loaded database hands
 # borrowed mmap spans to those same workers (copy-on-write on mutation).
 # The prediction referee rides along because `Predict` and `Explain` run
