@@ -161,7 +161,7 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       Stopwatch prop_watch;
       if (p == &fresh[i]) {
         *p = PropagateIds(*db_, edge, node_pairs_[static_cast<size_t>(t.node)],
-                          &alive_, opts_->propagation_limits,
+                          alive_, opts_->propagation_limits,
                           &prop_scratch_[static_cast<size_t>(worker)]);
       } else {
         // The alive mask only shrank since this entry was filtered, so
@@ -317,7 +317,7 @@ void ClauseBuilder::Append(BestChoice choice) {
     Stopwatch prop_watch;
     PropagationResult hop = PropagateIds(
         *db_, db_->edges()[static_cast<size_t>(added.edge_path[1])],
-        node_pairs_.back(), &alive_, opts_->propagation_limits,
+        node_pairs_.back(), alive_, opts_->propagation_limits,
         &prop_scratch_[0]);
     if (prop_time_ != nullptr) {
       prop_time_->AddSeconds(prop_watch.ElapsedSeconds());

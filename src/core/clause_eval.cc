@@ -25,7 +25,7 @@ std::vector<uint8_t> EvaluateClause(const Database& db, const Clause& clause,
 
   uint64_t pairs = 0;
   // A single-id request runs a handful of one-pair hops per clause, so
-  // per-call grouping buffers would cost more than the hops themselves;
+  // per-call view and sort buffers would cost more than the hops themselves;
   // each serving thread keeps its own.
   static thread_local PropagationScratch scratch;
   std::vector<uint8_t> satisfied(ids.size());
@@ -39,7 +39,7 @@ std::vector<uint8_t> EvaluateClause(const Database& db, const Clause& clause,
       CM_CHECK(nodes.size() == static_cast<size_t>(lit.path_nodes[i]));
       const JoinEdge& edge = db.edges()[static_cast<size_t>(lit.edge_path[i])];
       nodes.push_back(
-          PropagateIds(db, edge, nodes[cur], &alive, {}, &scratch).pairs);
+          PropagateIds(db, edge, nodes[cur], alive, {}, &scratch).pairs);
       pairs += nodes.back().size();
       cur = nodes.size() - 1;
     }

@@ -14,11 +14,11 @@ namespace crossmine {
 /// The propagated IDs of one clause node (Definition 2) as a set of
 /// (tuple, id) pairs, one per `id ∈ idset(tuple)`. Each pair packs
 /// `tuple << 32 | id`, so a sorted vector orders pairs by tuple, then id.
-/// Every `IdPairs` in the system is sorted and duplicate-free, except a
-/// look-ahead view (`PropagateView`), which only the literal search reads;
-/// the pairs of one tuple form a contiguous *run* with ascending ids. Tuples with an
-/// empty idset have no pair, so storage and every walk cost what the live
-/// frontier reaches, never relation width.
+/// Every `IdPairs` in the system is sorted and duplicate-free, except the
+/// raw view `PropagateView` writes before it sorts, which only the literal
+/// search reads; the pairs of one tuple form a contiguous *run* with
+/// ascending ids. Tuples with an empty idset have no pair, so storage and
+/// every walk cost what the live frontier reaches, never relation width.
 ///
 /// Training ids are target tuple ids; `EvaluateClause` uses positions in
 /// its query id list. Either way ids index the caller's `alive` mask.

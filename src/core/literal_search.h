@@ -84,7 +84,7 @@ class LiteralSearcher {
   /// look-ahead `PropagateView`; a tuple's pairs may be split into several
   /// runs. Aggregation scans count pairs and sum in pair order, so with
   /// `use_aggregation_literals` the pairs must be sorted and duplicate-free,
-  /// as `PropagateIds` writes them.
+  /// as a `distinct` view or `PropagateIds`' result is.
   CandidateLiteral FindBest(RelId rel, const IdPairs& pairs,
                             const CrossMineOptions& opts);
 

@@ -27,86 +27,75 @@ struct PropagationResult {
   IdPairs pairs;
   /// False when a PropagationLimits guard rejected the edge.
   bool ok = true;
-  /// Total ids attached to destination tuples: `pairs.size()` on success,
-  /// the volume the guards judged otherwise.
-  uint64_t total_ids = 0;
 };
 
-/// Reusable working memory for `PropagateIds` and `PropagateView`. One
+/// Reusable working memory for `PropagateView` and `PropagateIds`. One
 /// scratch per worker lane amortizes the buffers across every propagation
 /// that lane runs, so after warm-up only a materialized result allocates.
 struct PropagationScratch {
-  /// (destination value slot, id) keys, one per distinct id reaching a
-  /// join value; runs of one value slot are that value's merged idset
-  IdPairs keys;
-  /// start of each value's run in `keys`, plus an end sentinel
-  std::vector<uint32_t> groups;
-  /// (destination tuple, value run) per reached destination tuple
-  IdPairs dests;
-  /// `SortPairs` ping-pong buffer for `keys`, `dests` and `view`
-  IdPairs tmp;
-  /// `PropagateView`'s output: the lane's current look-ahead view, valid
-  /// until the lane's next `PropagateView`
+  /// The lane's current hop, as `PropagateView` wrote it; valid until the
+  /// lane's next propagation
   IdPairs view;
-  /// Sorts run on `keys` / `dests`: the already-ordered inputs skip theirs.
-  /// Coverage counts for tests; nothing reads them on the hot path.
-  uint64_t key_sorts = 0;
-  uint64_t dest_sorts = 0;
+  /// `SortPairs` ping-pong buffer for `view`
+  IdPairs tmp;
 };
 
-/// Propagates IDs along `edge` (Definition 2): every destination tuple `u`
-/// receives `idset(u) = ∪ { idset(t) : t ∈ source, t.A = u.A }`. `src` holds
-/// the source relation's (tuple, id) pairs.
+/// Propagates IDs along `edge` (Definition 2) into `scratch->view`: every
+/// destination tuple `u` receives `idset(u) = ∪ { idset(t) : t ∈ source,
+/// t.A = u.A }`. `src` holds the source relation's (tuple, id) pairs, and
+/// only ids with a set `alive` flag are carried over — the "update IDs on
+/// every active relation" filtering of Algorithm 2 fused into the
+/// propagation.
 ///
-/// If `alive` is non-null, only ids with a set flag are carried over — the
-/// "update IDs on every active relation" filtering of Algorithm 2 fused
-/// into the propagation.
-///
-/// The walk costs what the source pairs reach: each source tuple run probes
-/// the destination's `AttrIndex` once (NULL never matches, SQL semantics),
-/// and its ids are merged per join value by a radix sort (`SortPairs`) of
-/// their `(value slot, id)` keys. The §4.3 guards are judged on the
-/// per-value volumes (`|merged idset| × posting count`) before any output
-/// pair exists, so a rejected edge allocates nothing. Only then are the
-/// reached destination tuples radix-sorted and the pairs written, in
-/// destination-tuple order. Either sort is skipped when its input is
-/// already ordered.
-///
-/// Training (`ClauseBuilder`) and prediction (`EvaluateClause`) share this
-/// routine; prediction passes no limits.
-///
-/// `scratch` (optional) reuses the grouping and sort buffers across calls.
-PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
-                               const IdPairs& src,
-                               const std::vector<uint8_t>* alive,
-                               const PropagationLimits& limits = {},
-                               PropagationScratch* scratch = nullptr);
-
-/// The hop of `PropagateIds` as a view for scoring, written to
-/// `scratch->view` without materializing the join: each source tuple run
-/// probes the destination's `AttrIndex` once (NULL never matches), and
-/// every posting tuple `u` of the value receives `(u, id)` for each alive
-/// id of the run, in source order. Nothing is sorted, so a destination
-/// tuple's pairs may be scattered, and an id two source tuples carry to one
-/// destination tuple appears twice.
+/// Each source tuple run probes the destination's `AttrIndex` once (NULL
+/// never matches, SQL semantics), and every posting tuple `u` of the value
+/// receives `(u, id)` for each alive id of the run, in source order. So
+/// the walk costs what the source pairs reach, a destination tuple's pairs
+/// may be scattered, and an id two source tuples carry to one destination
+/// tuple may appear twice. With `distinct`, the view is then radix-sorted
+/// (`SortPairs`, skipped when already sorted) and deduplicated, which makes
+/// it exactly the hop's idsets.
 ///
 /// `LiteralSearcher::FindBest` counts distinct targets, so its categorical
-/// and numerical scans score such a view exactly as the materialized hop.
-/// Its aggregation scan does not: with `distinct` the view is sorted and
-/// deduplicated, which makes it exactly `PropagateIds`' pairs.
+/// and numerical scans score a raw view exactly as the distinct one. Its
+/// aggregation scan needs `distinct`.
 ///
-/// Returns the §4.3 verdict of `PropagateIds` on the same hop. Without a
-/// fan-out guard, a view no larger than `max_total_ids` passes as is (the
-/// distinct volume cannot exceed it); otherwise the view is deduplicated
-/// and judged on its distinct volume.
+/// Returns the §4.3 verdict on the hop's distinct pairs. The view's memory
+/// is bounded while it is written: whenever it has grown by more than
+/// `max_total_ids` since its last compaction, or on an FK–FK edge by more
+/// than the distinct pairs it held then (at least 2^16), it is sorted and
+/// deduplicated, and a compacted view over `max_total_ids` rejects at once.
+/// So a view never holds more than twice the cap plus one source run's
+/// ids. An FK–FK view also holds at most twice its distinct pairs plus
+/// 2^16 and one source run, however many source tuples share a join value;
+/// an FK -> PK view holds at most its source's pairs, and a PK -> FK view
+/// repeats none. Without a fan-out guard, a finished view no larger than
+/// the cap passes as is (its distinct volume cannot exceed it); otherwise
+/// the view is deduplicated and judged. A rejected view's contents are
+/// unspecified.
 bool PropagateView(const Database& db, const JoinEdge& edge,
                    const IdPairs& src, const std::vector<uint8_t>& alive,
                    const PropagationLimits& limits, bool distinct,
                    PropagationScratch* scratch);
 
+/// The hop of `PropagateView` with `distinct`, materialized: on success,
+/// `pairs` is an exact-size copy of the distinct view, so its capacity does
+/// not depend on the scratch the hop ran in. A rejected edge allocates no
+/// pairs.
+///
+/// Training (`ClauseBuilder`) and prediction (`EvaluateClause`) share this
+/// routine; prediction passes no limits.
+///
+/// `scratch` (optional) reuses the view and sort buffers across calls.
+PropagationResult PropagateIds(const Database& db, const JoinEdge& edge,
+                               const IdPairs& src,
+                               const std::vector<uint8_t>& alive,
+                               const PropagationLimits& limits = {},
+                               PropagationScratch* scratch = nullptr);
+
 /// Refreshes a previously successful propagation after the alive mask
-/// shrank: the pairs of dead ids are erased in place, then `total_ids` is
-/// recomputed and the `limits` guards re-applied to the filtered volume.
+/// shrank: the pairs of dead ids are erased in place, then the `limits`
+/// guards are re-applied to the filtered volume.
 ///
 /// When the alive mask only loses members between two propagation requests
 /// (the Algorithm 2 invariant — appended literals only remove targets),

@@ -191,14 +191,15 @@ void ExpectApplyConstraintMatchesBruteForce(uint64_t seed,
   Database db = MakeRandomDatabase(seed, 3, 240, /*fk_values=*/6);
   TupleId n = db.target_relation().num_tuples();
   std::vector<uint8_t> alive = RandomAliveMask(seed ^ 0xa11e, n, 0.15);
-  IdPairs root = IdentityPairs(std::vector<uint8_t>(n, 1));
+  const std::vector<uint8_t> all(n, 1);
+  IdPairs root = IdentityPairs(all);
 
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     const Relation& rel = db.relation(edge.to_rel);
     for (bool filter : {false, true}) {
       PropagationResult prop =
-          PropagateIds(db, edge, root, filter ? &alive : nullptr);
+          PropagateIds(db, edge, root, filter ? alive : all);
       ASSERT_TRUE(prop.ok);
       for (IdPair p : prop.pairs) *dead_pairs += alive[PairId(p)] ? 0 : 1;
       const std::vector<IdSet> before =

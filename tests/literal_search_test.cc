@@ -291,8 +291,8 @@ void ExpectEdgesMatchBruteForce(const Database& db, const SearchSetup& s) {
                                      &searcher);
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
-    PropagationResult filtered = PropagateIds(db, edge, alive_root, &s.alive);
-    PropagationResult unfiltered = PropagateIds(db, edge, full_root, nullptr);
+    PropagationResult filtered = PropagateIds(db, edge, alive_root, s.alive);
+    PropagationResult unfiltered = PropagateIds(db, edge, full_root, all);
     ASSERT_TRUE(filtered.ok && unfiltered.ok);
     ExpectCategoricalMatchesBruteForce(db, edge.to_rel, filtered.pairs, s,
                                        &searcher);
@@ -467,7 +467,7 @@ IdPairs Distinct(IdPairs pairs) {
 void ExpectViewMatchesHop(const Database& db, const JoinEdge& edge,
                           const IdPairs& src, const SearchSetup& s,
                           LiteralSearcher* searcher, ViewCoverage* coverage) {
-  const PropagationResult hop = PropagateIds(db, edge, src, &s.alive);
+  const PropagationResult hop = PropagateIds(db, edge, src, s.alive);
   ASSERT_TRUE(hop.ok);
   PropagationScratch scratch;
   ASSERT_TRUE(PropagateView(db, edge, src, s.alive, {}, false, &scratch));
@@ -513,7 +513,7 @@ void ExpectViewMatchesHop(const Database& db, const JoinEdge& edge,
 
   // §4.3 verdicts, at and around the exact volume and fan-out; a limit of
   // `total` passes a view with repeats only after deduplication.
-  const uint64_t total = hop.total_ids;
+  const uint64_t total = hop.pairs.size();
   uint64_t reached = 0;
   for (size_t lo = 0; lo < hop.pairs.size();
        lo = TupleRunEnd(hop.pairs, lo)) {
@@ -531,7 +531,7 @@ void ExpectViewMatchesHop(const Database& db, const JoinEdge& edge,
   for (const PropagationLimits& limits : cases) {
     SCOPED_TRACE(::testing::Message() << "limits " << limits.max_avg_fanout
                                       << " / " << limits.max_total_ids);
-    const bool want = PropagateIds(db, edge, src, &s.alive, limits).ok;
+    const bool want = PropagateIds(db, edge, src, s.alive, limits).ok;
     for (bool distinct : {false, true}) {
       EXPECT_EQ(PropagateView(db, edge, src, s.alive, limits, distinct,
                               &scratch),

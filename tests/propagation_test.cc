@@ -26,11 +26,13 @@ const JoinEdge* FindEdge(const Database& db, RelId from, AttrId from_attr,
   return nullptr;
 }
 
-// Root pairs for the target relation: idset(t) = {t}.
-IdPairs RootPairs(const Database& db) {
-  return IdentityPairs(
-      std::vector<uint8_t>(db.target_relation().num_tuples(), 1));
+// Every target id alive.
+std::vector<uint8_t> AllAlive(const Database& db) {
+  return std::vector<uint8_t>(db.target_relation().num_tuples(), 1);
 }
+
+// Root pairs for the target relation: idset(t) = {t}.
+IdPairs RootPairs(const Database& db) { return IdentityPairs(AllAlive(db)); }
 
 // The propagated idsets of every tuple of `rel`.
 std::vector<IdSet> Sets(const Database& db, RelId rel,
@@ -47,14 +49,14 @@ TEST(PropagationTest, PaperFig4Example) {
   ASSERT_NE(edge, nullptr);
 
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db));
   ASSERT_TRUE(result.ok);
   std::vector<IdSet> sets = Sets(f.db, f.account, result);
   EXPECT_EQ(sets[0], (IdSet{0, 1}));  // account 124
   EXPECT_EQ(sets[1], (IdSet{2}));     // account 108
   EXPECT_EQ(sets[2], (IdSet{3, 4}));  // account 45
   EXPECT_TRUE(sets[3].empty());       // account 67
-  EXPECT_EQ(result.total_ids, 5u);
+  EXPECT_EQ(result.pairs.size(), 5u);
 }
 
 TEST(PropagationTest, ReversePropagationRecoversLoans) {
@@ -69,9 +71,9 @@ TEST(PropagationTest, ReversePropagationRecoversLoans) {
   ASSERT_NE(to_loan, nullptr);
 
   PropagationResult at_account =
-      PropagateIds(f.db, *to_account, RootPairs(f.db), nullptr);
+      PropagateIds(f.db, *to_account, RootPairs(f.db), AllAlive(f.db));
   PropagationResult back =
-      PropagateIds(f.db, *to_loan, at_account.pairs, nullptr);
+      PropagateIds(f.db, *to_loan, at_account.pairs, AllAlive(f.db));
   ASSERT_TRUE(back.ok);
   // Loans 0 and 1 share account 124.
   EXPECT_EQ(Sets(f.db, f.loan, back),
@@ -84,7 +86,7 @@ TEST(PropagationTest, AliveMaskFiltersIds) {
   std::vector<uint8_t> alive{1, 0, 1, 0, 1};  // loans 0, 2, 4 alive
 
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), &alive);
+      PropagateIds(f.db, *edge, RootPairs(f.db), alive);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(Sets(f.db, f.account, result),
             (std::vector<IdSet>{{0}, {2}, {4}, {}}));
@@ -96,7 +98,7 @@ TEST(PropagationTest, NullJoinValuesNeverMatch) {
   f.db.mutable_relation(f.loan).SetInt(0, f.loan_account, kNullValue);
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db));
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(Sets(f.db, f.account, result)[0], (IdSet{1}));  // loan 0 misses
 }
@@ -104,9 +106,9 @@ TEST(PropagationTest, NullJoinValuesNeverMatch) {
 TEST(PropagationTest, EmptySourceIdsetsYieldEmptyDestination) {
   Fig2Database f = MakeFig2Database();
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
-  PropagationResult result = PropagateIds(f.db, *edge, IdPairs{}, nullptr);
+  PropagationResult result =
+      PropagateIds(f.db, *edge, IdPairs{}, AllAlive(f.db));
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.total_ids, 0u);
   EXPECT_TRUE(result.pairs.empty());
 }
 
@@ -116,11 +118,10 @@ TEST(PropagationTest, MaxTotalIdsLimitRejects) {
   PropagationLimits limits;
   limits.max_total_ids = 2;  // Fig. 4 needs 5
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
+      PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db), limits);
   EXPECT_FALSE(result.ok);
-  // Judged before any pair is written: the rejected edge allocated none.
+  // A rejected edge allocates no result pairs.
   EXPECT_EQ(result.pairs.capacity(), 0u);
-  EXPECT_EQ(result.total_ids, 5u);
 }
 
 TEST(PropagationTest, MaxAvgFanoutLimitRejectsUnselectiveLink) {
@@ -129,11 +130,11 @@ TEST(PropagationTest, MaxAvgFanoutLimitRejectsUnselectiveLink) {
   PropagationLimits limits;
   limits.max_avg_fanout = 1.2;  // Fig. 4 average is 5/3 ≈ 1.67
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
+      PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db), limits);
   EXPECT_FALSE(result.ok);
 
   limits.max_avg_fanout = 2.0;  // now admissible
-  result = PropagateIds(f.db, *edge, RootPairs(f.db), nullptr, limits);
+  result = PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db), limits);
   EXPECT_TRUE(result.ok);
 }
 
@@ -141,15 +142,14 @@ TEST(PropagationTest, RefreshMatchesFreshPropagationAndCompactsArena) {
   Fig2Database f = MakeFig2Database();
   const JoinEdge* edge = FindEdge(f.db, f.loan, f.loan_account, f.account, 0);
   PropagationResult result =
-      PropagateIds(f.db, *edge, RootPairs(f.db), nullptr);
+      PropagateIds(f.db, *edge, RootPairs(f.db), AllAlive(f.db));
   ASSERT_TRUE(result.ok);
   const IdPair* storage = result.pairs.data();
 
   std::vector<uint8_t> alive{1, 0, 1, 0, 1};
   ASSERT_TRUE(RefreshPropagation(&result, alive, PropagationLimits{}));
-  PropagationResult fresh = PropagateIds(f.db, *edge, RootPairs(f.db), &alive);
+  PropagationResult fresh = PropagateIds(f.db, *edge, RootPairs(f.db), alive);
   EXPECT_EQ(result.pairs, fresh.pairs);
-  EXPECT_EQ(result.total_ids, fresh.total_ids);
   // The dead pairs are erased in place: same storage, no reallocation.
   EXPECT_EQ(result.pairs.data(), storage);
 
@@ -206,9 +206,10 @@ TEST(PropagationTest, TransitivePropagationLemma2) {
   ASSERT_NE(to_mid, nullptr);
   ASSERT_NE(to_leaf, nullptr);
 
-  PropagationResult at_mid = PropagateIds(db, *to_mid, RootPairs(db), nullptr);
+  PropagationResult at_mid =
+      PropagateIds(db, *to_mid, RootPairs(db), AllAlive(db));
   PropagationResult at_leaf =
-      PropagateIds(db, *to_leaf, at_mid.pairs, nullptr);
+      PropagateIds(db, *to_leaf, at_mid.pairs, AllAlive(db));
   ASSERT_TRUE(at_leaf.ok);
   // Leaf 0 <- mids {0,1} <- targets {0,1}; leaf 1 <- mid 2 <- targets {2,3}.
   EXPECT_EQ(Sets(db, 0, at_leaf), (std::vector<IdSet>{{0, 1}, {2, 3}}));
@@ -231,12 +232,12 @@ TEST_P(PropagationPropertyTest, MatchesBruteForceOnEveryEdge) {
 
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
-    PropagationResult got = PropagateIds(db, edge, root, nullptr);
+    PropagationResult got = PropagateIds(db, edge, root, AllAlive(db));
     ASSERT_TRUE(got.ok);
     EXPECT_EQ(Sets(db, edge.to_rel, got),
               BruteForcePropagate(db, edge, root_v, nullptr));
 
-    PropagationResult masked = PropagateIds(db, edge, root, &alive);
+    PropagationResult masked = PropagateIds(db, edge, root, alive);
     ASSERT_TRUE(masked.ok);
     EXPECT_EQ(Sets(db, edge.to_rel, masked),
               BruteForcePropagate(db, edge, root_v, &alive));
@@ -244,7 +245,8 @@ TEST_P(PropagationPropertyTest, MatchesBruteForceOnEveryEdge) {
     // Second hop from the reached relation, exercising Lemma 2.
     for (int32_t e2 : db.OutEdges(edge.to_rel)) {
       const JoinEdge& second = db.edges()[static_cast<size_t>(e2)];
-      PropagationResult hop2 = PropagateIds(db, second, got.pairs, nullptr);
+      PropagationResult hop2 =
+          PropagateIds(db, second, got.pairs, AllAlive(db));
       ASSERT_TRUE(hop2.ok);
       EXPECT_EQ(Sets(db, second.to_rel, hop2),
                 BruteForcePropagate(db, second, Sets(db, edge.to_rel, got),

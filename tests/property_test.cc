@@ -136,7 +136,7 @@ void ExpectNumericalMatchesBruteForce(const Database& db,
   for (const JoinEdge& edge : db.edges()) {
     if (edge.from_rel != db.target()) continue;
     PropagationResult prop =
-        PropagateIds(db, edge, root, filter ? &alive : nullptr);
+        PropagateIds(db, edge, root, filter ? alive : all);
     ASSERT_TRUE(prop.ok);
     check(edge.to_rel, prop.pairs);
   }
@@ -174,12 +174,12 @@ TEST_P(FkFkPropagationTest, MatchesBruteForceOnFkFkEdges) {
   int fkfk_checked = 0;
   for (const JoinEdge& first : db.edges()) {
     if (first.from_rel != db.target()) continue;
-    PropagationResult at_mid = PropagateIds(db, first, root, nullptr);
+    PropagationResult at_mid = PropagateIds(db, first, root, all);
     ASSERT_TRUE(at_mid.ok);
     for (int32_t e2 : db.OutEdges(first.to_rel)) {
       const JoinEdge& second = db.edges()[static_cast<size_t>(e2)];
       if (second.kind != JoinKind::kFkToFk) continue;
-      PropagationResult got = PropagateIds(db, second, at_mid.pairs, nullptr);
+      PropagationResult got = PropagateIds(db, second, at_mid.pairs, all);
       ASSERT_TRUE(got.ok);
       EXPECT_EQ(
           IdSetsFromPairs(got.pairs, db.relation(second.to_rel).num_tuples()),

@@ -4,9 +4,9 @@
 # standing memory-error detector for the new long-lived path: buffer
 # handling in the JSON codec and the TCP line reader, promise/future
 # lifetimes across drain, and the connection-teardown ordering. Also runs
-# the propagation oracle: the pair engine's per-value grouping, run
-# boundaries and in-place erasure are exactly the kind of offset
-# arithmetic ASan exists for.
+# the propagation oracle: the hop kernel's view compaction and
+# exact-size copy, run boundaries and in-place erasure are exactly the
+# kind of offset arithmetic ASan exists for.
 # The corruption and fault suites ride along so every rejected corrupt
 # input and every injected failure path is also memory-clean: an
 # out-of-bounds parse of hostile bytes is a failure even when it does not

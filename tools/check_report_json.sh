@@ -145,6 +145,7 @@ reject --min-gain train "$DIR/data" "$DIR/reject.cmm" --min-gain nan
 # Generator sizes. The output path is the one `reject` checks was not
 # written.
 reject --tuples generate synthetic "$DIR/reject.cmm" --tuples 0
+reject --tuples generate synthetic "$DIR/reject.cmm" --tuples 2147483648
 reject --relations generate synthetic "$DIR/reject.cmm" --relations 1
 reject --relations generate synthetic "$DIR/reject.cmm" \
   --relations 4294967298

@@ -68,7 +68,7 @@ const Flag kCrossmineFlags[] = {
     {"seed", kInt, "generate synthetic,generate financial,generate mutagenesis",
      "generator seed", kNoMin, kNoMax},
     {"relations", kInt, "generate synthetic", "relations", 2, INT_MAX},
-    {"tuples", kInt, "generate synthetic", "tuples per relation", 1, kNoMax},
+    {"tuples", kInt, "generate synthetic", "tuples per relation", 1, INT_MAX},
     {"fkeys", kInt, "generate synthetic", "foreign keys per relation", 0,
      kNoMax},
     {"loans", kInt, "generate financial", "target loans", 1, INT_MAX},
